@@ -8,8 +8,8 @@ routine, so large complexes stay cheap to build and join.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -229,29 +229,40 @@ def is_isomorphic_via(x: SimplicialComplex, y: SimplicialComplex, f) -> bool:
 # homology
 
 def exact_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by Gaussian elimination with exact fractions."""
-    if not rows or not rows[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                c = m[r][col]
-                m[r] = [a - c * b for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Rank over the rationals of an integer matrix given as dense rows.
+
+    Sparse fraction-free elimination: each column's nonzeros are read into a
+    dict {row: value} and reduced against the pivot column already stored at
+    its leading (smallest) row, v <- a*v - b*pivot, where b/a is the ratio of
+    the two leading entries in lowest terms.  A column left nonzero becomes a
+    new pivot, divided by the gcd of its entries so the integers stay small.
+    Since a != 0, each step keeps the rational span of the columns seen so
+    far, and the pivots have distinct leading rows, so their number is the
+    rank.  No Fraction and no dense copy is made.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for column in zip(*rows):
+        v = {i: x for i, x in enumerate(column) if x}
+        while v:
+            lead = min(v)
+            p = pivots.get(lead)
+            if p is None:
+                g = gcd(*v.values())
+                pivots[lead] = {i: x // g for i, x in v.items()} if g != 1 else v
+                break
+            g = gcd(p[lead], v[lead])
+            a, b = p[lead] // g, v[lead] // g
+            # boundary entries are +-1, so a == 1 and g == 1 are the usual
+            # case; skipping those copies saves about a quarter of the time
+            w = {i: a * x for i, x in v.items()} if a != 1 else v
+            for i, x in p.items():
+                y = w.get(i, 0) - b * x
+                if y:
+                    w[i] = y
+                else:
+                    w.pop(i, None)
+            v = w
+    return len(pivots)
 
 
 def betti_numbers(x: SimplicialComplex) -> tuple[int, ...]:

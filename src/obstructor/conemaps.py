@@ -34,6 +34,7 @@ from .exact import (
 )
 
 GROWTH_FACTOR = 1024  # statistic ratio equal to a gap of 10*log 2
+WEIGHT_TOTAL = 60  # sampled barycentric weights are integers over this
 
 
 class BadVertex(ValueError):
@@ -260,7 +261,7 @@ def distance(a: ExactMatrix, b: ExactMatrix) -> float:
 # ---------------------------------------------------------------------------
 # deterministic sampling
 
-def sample_weight_vectors(m: int, samples: int = 8, seed: int = 0, total: int = 60):
+def sample_weight_vectors(m: int, samples: int = 8, seed: int = 0, total: int = WEIGHT_TOTAL):
     """Deterministic interior weight vectors (integers over `total`).
 
     The first vector is the barycenter; the rest are seeded random interior
@@ -395,11 +396,10 @@ def divergence_test(
     radii = tuple(radii) if radii is not None else default_radii()
     if not sigma or not tau or set(sigma) & set(tau):
         return PairReport(sigma, tau, radii, [], 0.0, "INADMISSIBLE")
-    total = 60
-    wa = sample_weight_vectors(len(sigma), samples, seed, total)
-    wb = sample_weight_vectors(len(tau), samples, seed + 1, total)
-    prep_a = [[_prep(cone_map, sigma, w, total, t) for t in radii] for w in wa]
-    prep_b = [[_prep(cone_map, tau, w, total, t) for t in radii] for w in wb]
+    wa = sample_weight_vectors(len(sigma), samples, seed)
+    wb = sample_weight_vectors(len(tau), samples, seed + 1)
+    prep_a = [[_prep(cone_map, sigma, w, WEIGHT_TOTAL, t) for t in radii] for w in wa]
+    prep_b = [[_prep(cone_map, tau, w, WEIGHT_TOTAL, t) for t in radii] for w in wb]
     d_curve = []
     stats = {}
     for k in range(len(radii)):
@@ -443,16 +443,15 @@ def divergence_suite(
     """
     t0 = time.perf_counter()
     simplices = _simplices_sorted(cone_map.domain)
-    total = 60
     first_r, last_r = radii[0], radii[-1]
     prep = []
     for s in simplices:
         s_sorted = tuple(sorted(s))
-        ws = sample_weight_vectors(len(s_sorted), samples, seed, total)
+        ws = sample_weight_vectors(len(s_sorted), samples, seed)
         prep.append(
             (
                 s_sorted,
-                [(_prep(cone_map, s_sorted, w, total, first_r), _prep(cone_map, s_sorted, w, total, last_r)) for w in ws],
+                [(_prep(cone_map, s_sorted, w, WEIGHT_TOTAL, first_r), _prep(cone_map, s_sorted, w, WEIGHT_TOTAL, last_r)) for w in ws],
             )
         )
     n_pairs = passed = failed = 0
@@ -534,15 +533,14 @@ def properness_test(
     t0 = time.perf_counter()
     radii = tuple(radii) if radii is not None else default_radii()
     simplices = _simplices_sorted(cone_map.domain)
-    total = 60
     checked = passed = failed = 0
     min_growth = None
     failures = []
     for s in simplices:
         s_sorted = tuple(sorted(s))
-        for w in sample_weight_vectors(len(s_sorted), samples, seed, total):
+        for w in sample_weight_vectors(len(s_sorted), samples, seed):
             checked += 1
-            stats = [_ray_stat(_prep(cone_map, s_sorted, w, total, t)) for t in radii]
+            stats = [_ray_stat(_prep(cone_map, s_sorted, w, WEIGHT_TOTAL, t)) for t in radii]
             monotone = all(
                 stats[k][0] * stats[k + 1][1] <= stats[k + 1][0] * stats[k][1]
                 for k in range(len(stats) - 1)

@@ -338,10 +338,6 @@ class RootSystem:
         double = tuple(2 * x for x in v)
         return double if double in self._root_set else v
 
-    def node_vectors(self) -> tuple[Vector, ...]:
-        """hat(a) for every simple root, in diagram order."""
-        return tuple(self.hat(i) for i in range(self.rank))
-
     def adjacent(self, i: int, j: int) -> bool:
         """Diagram adjacency: the sum of two simple roots is a root iff joined."""
         return _vadd(self.simple[i], self.simple[j]) in self._root_set

@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from obstructor import (
     ObstructorShape,
@@ -21,6 +24,7 @@ from obstructor import (
     sphere_plus,
     sphere_preimage,
 )
+from obstructor.complexes import exact_rank
 
 
 def brute_acyclic(arrows):
@@ -192,3 +196,141 @@ def test_json_round_trip():
     assert len(data["vertices"]) == 6
     assert all(len(f) == 3 for f in data["maximal"])
     assert all(all(isinstance(i, int) for i in f) for f in data["maximal"])
+
+
+# ---------------------------------------------------------------------------
+# exact rank against an independent elimination over the rationals
+
+def fraction_rank(rows):
+    """Reference rank: dense Gauss-Jordan elimination with exact fractions."""
+    if not rows or not rows[0]:
+        return 0
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = m[rank][col]
+        m[rank] = [x / inv for x in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][col] != 0:
+                c = m[r][col]
+                m[r] = [a - c * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def transpose(rows, ncols):
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices with entries beyond +-1, returned as (rows, ncols) so
+    empty shapes stay explicit.  Half are products B*C through an inner
+    dimension of at most 3, so rank deficiency is common; some rows and
+    columns are then zeroed."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.integers(-30, 30))
+        rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        inner = draw(st.integers(0, 3))
+        entry = st.integers(-5, 5)
+        left = [[draw(entry) for _ in range(inner)] for _ in range(nrows)]
+        right = [[draw(entry) for _ in range(ncols)] for _ in range(inner)]
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if inner else [0] * ncols
+                for row in left]
+    for r in draw(st.lists(st.integers(0, max(nrows - 1, 0)), max_size=2)):
+        if nrows:
+            rows[r] = [0] * ncols
+    for c in draw(st.lists(st.integers(0, max(ncols - 1, 0)), max_size=2)):
+        for row in rows:
+            if ncols:
+                row[c] = 0
+    return rows, ncols
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(int_matrices())
+@example(([], 0))
+@example(([[]], 0))
+@example(([[0, 0], [0, 0]], 2))
+@example(([[6], [4], [-10]], 1))
+@example(([[2, 4], [3, 6]], 2))
+@example(([[1, 1, 0], [0, 1, 1], [1, 0, -1]], 3))
+def test_exact_rank_matches_fraction_elimination(case):
+    rows, _ = case
+    assert exact_rank(rows) == fraction_rank(rows)
+
+
+@PROPERTY
+@given(int_matrices())
+def test_exact_rank_of_transpose(case):
+    rows, ncols = case
+    assert exact_rank(rows) == exact_rank(transpose(rows, ncols))
+
+
+@PROPERTY
+@given(int_matrices(), st.integers(0, 6), st.integers(-9, 9).filter(bool))
+def test_exact_rank_unchanged_by_scaling_a_row(case, r, c):
+    rows, _ = case
+    if not rows:
+        return
+    r %= len(rows)
+    scaled = [[c * x for x in row] if i == r else row for i, row in enumerate(rows)]
+    assert exact_rank(scaled) == exact_rank(rows)
+
+
+# ---------------------------------------------------------------------------
+# homology against closed forms
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def column_join_betti(n):
+    """Betti numbers of obstructor_subcomplex(n) by the join formula.
+
+    The complex is the join of S^k + pt for k = 0..n-2.  The reduced
+    Poincare polynomial of S^k + pt is 2 for k = 0 and 1 + t^k otherwise, and
+    a join of r factors multiplies them and shifts by t^(r-1).  Adding 1 in
+    degree 0 gives the unreduced Betti numbers.
+    """
+    poly = [0] * (n - 2) + [2]
+    for k in range(1, n - 1):
+        poly = _poly_mul(poly, [1] + [0] * (k - 1) + [1])
+    poly[0] += 1
+    return tuple(poly)
+
+
+def test_column_join_betti_closed_form_values():
+    assert column_join_betti(2) == (3,)
+    assert column_join_betti(3) == (1, 2, 2)
+    assert column_join_betti(4) == (1, 0, 2, 2, 2, 2)
+    assert column_join_betti(5) == (1, 0, 0, 2, 2, 2, 4, 2, 2, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_obstructor_subcomplex_betti_matches_join_formula(n):
+    assert betti_numbers(obstructor_subcomplex(n)) == column_join_betti(n)
+
+
+def test_arrow_complex_betti_euler_characteristic():
+    c = arrow_complex(4)
+    betti = betti_numbers(c)
+    chi = sum((-1) ** k * f for k, f in enumerate(c.f_vector()))
+    assert sum((-1) ** k * b for k, b in enumerate(betti)) == chi
