@@ -26,6 +26,7 @@ from obstructor import (
     split_residual,
     superimpose_map,
 )
+from obstructor.conemaps import GROWTH_FACTOR, WEIGHT_TOTAL, sample_weight_vectors
 
 
 def test_heisenberg_basics():
@@ -162,6 +163,17 @@ def test_properness_constant_map_fails():
     const = ConeMap("const", dom, 2, lambda p: ExactMatrix.identity(2))
     rep = properness_test(const, radii=(1, 2, 4), samples=2)
     assert rep.failed == rep.total > 0
+
+
+def test_properness_flags_rays_that_dip():
+    # |t - 16| falls from 15 to 0 before it grows: non-monotone, yet the ray
+    # grows by far more than the growth factor from the first radius to the last
+    dom = heisenberg_map(2).domain
+    dip = ConeMap("dip", dom, 2, lambda p: ExactMatrix.from_entries(2, {(1, 2): p.t - 16}))
+    rep = properness_test(dip, radii=(1, 16, 2 ** 20), samples=1)
+    assert rep.failed == rep.total == 2
+    assert [f["monotone"] for f in rep.failures] == [False, False]
+    assert rep.min_growth > math.log(GROWTH_FACTOR)
 
 
 def test_default_radii():
@@ -349,3 +361,106 @@ def test_cross_and_aligned_suites_agree_on_verdicts():
     aligned = divergence_suite(cm, pairing="aligned")
     assert cross.total == aligned.total
     assert cross.failed == aligned.failed == 0
+
+
+def test_images_without_determinant_one_are_refused():
+    # determinant 1 + t: both simplices go to the same matrix, so the exact
+    # statistic d_stat(A^-1 B) is 1 at every radius
+    dom = heisenberg_map(2).domain
+    stretch = ConeMap("stretch", dom, 2, lambda p: ExactMatrix([[1 + p.t, 0], [0, 1]]))
+    sigma, tau = (((1, 2), 1),), (((1, 2), -1),)
+    for t in (1, 2 ** 20):
+        a = stretch(ConePoint(sigma, (1,), t))
+        b = stretch(ConePoint(tau, (1,), t))
+        assert d_stat(a.inverse() @ b) == 1
+    with pytest.raises(ValueError, match="determinant 1"):
+        divergence_test(stretch, sigma, tau)
+    with pytest.raises(ValueError, match="determinant 1"):
+        divergence_suite(stretch)
+    with pytest.raises(ValueError, match="determinant 1"):
+        properness_test(stretch)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_fewer_than_one_sample_is_refused(samples):
+    h = heisenberg_map(3)
+    with pytest.raises(ValueError, match="samples"):
+        sample_weight_vectors(2, samples)
+    with pytest.raises(ValueError, match="samples"):
+        divergence_suite(h, samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        properness_test(h, samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        divergence_test(h, (((1, 2), 1),), (((1, 2), -1),), samples=samples)
+
+
+def test_unknown_pairing_is_refused():
+    with pytest.raises(ValueError, match="pairing"):
+        divergence_suite(heisenberg_map(3), pairing="alinged")
+
+
+# oracle: the integer statistics against d_stat on the exact Fraction images
+
+ORACLE_RADII = (1, 16, 2 ** 20)
+
+
+def _log(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def _exact_ray(cm, simplex, weights):
+    ws = [Fraction(a, WEIGHT_TOTAL) for a in weights]
+    return [cm(ConePoint(simplex, ws, t)) for t in ORACLE_RADII]
+
+
+def _disjoint_pairs(cm, count, rng):
+    sims = sorted((tuple(sorted(s)) for s in cm.domain.simplices()), key=repr)
+    pairs = [(a, b) for a in sims for b in sims if a < b and not set(a) & set(b)]
+    return rng.sample(pairs, count)
+
+
+def _factors(ratios):
+    # the default factor, and the two integers around the smallest growth
+    # ratio: all rays pass the lower one and at least one fails the upper
+    low = math.floor(min(ratios))
+    return (GROWTH_FACTOR, low, low + 1)
+
+
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+def test_divergence_test_matches_fraction_oracle(builder):
+    cm = builder(3)
+    rng = random.Random(f"oracle|{builder.__name__}")
+    for k, (sigma, tau) in enumerate(_disjoint_pairs(cm, 6, rng)):
+        rays_a = [_exact_ray(cm, sigma, w) for w in sample_weight_vectors(len(sigma), 3, k)]
+        rays_b = [_exact_ray(cm, tau, w) for w in sample_weight_vectors(len(tau), 3, k + 1)]
+        stats = [[d_stat(a.inverse() @ b) for a, b in zip(ra, rb)] for ra in rays_a for rb in rays_b]
+        ratios = [st[-1] / st[0] for st in stats]
+        verdicts = []
+        for factor in _factors(ratios):
+            rep = divergence_test(cm, sigma, tau, radii=ORACLE_RADII, samples=3, seed=k,
+                                  growth_factor=factor)
+            verdicts.append(rep.status)
+            assert rep.status == ("PASS" if min(ratios) >= factor else "FAIL")
+            for r, d in enumerate(rep.d_curve):
+                assert abs(d - min(_log(st[r]) for st in stats)) < 1e-9
+            assert abs(rep.growth - min(_log(st[-1]) - _log(st[0]) for st in stats)) < 1e-9
+        assert verdicts[1:] == ["PASS", "FAIL"]
+
+
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+def test_properness_test_matches_fraction_oracle(builder):
+    cm = builder(3)
+    for seed in (0, 5):
+        rays = []
+        for s in cm.domain.simplices():
+            s = tuple(sorted(s))
+            for w in sample_weight_vectors(len(s), 3, seed):
+                st = [d_stat(g) for g in _exact_ray(cm, s, w)]
+                rays.append((all(x <= y for x, y in zip(st, st[1:])), st[-1] / st[0]))
+        min_growth = min(_log(ratio) for _, ratio in rays)
+        for factor in _factors([ratio for _, ratio in rays]):
+            rep = properness_test(cm, radii=ORACLE_RADII, samples=3, seed=seed, growth_factor=factor)
+            passed = sum(monotone and ratio >= factor for monotone, ratio in rays)
+            assert (rep.total, rep.passed) == (len(rays), passed)
+            assert abs(rep.min_growth - min_growth) < 1e-9
+        assert 0 < rep.failed
