@@ -19,8 +19,9 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from operator import mul
+from functools import cache
+from itertools import chain, combinations, product, repeat
+from operator import add, mul
 
 from .complexes import SimplicialComplex, is_acyclic, obstructor_subcomplex
 from .exact import (
@@ -91,16 +92,34 @@ class ConeMap:
     def __call__(self, point: ConePoint) -> ExactMatrix:
         return self._evaluate(point)
 
-    def scaled(self, simplex, int_weights, total, t) -> tuple[IntRows, int]:
-        """(den * image) as an integer matrix with its denominator.
+    def scaled(self, simplex, int_weights, total, radii) -> list[tuple[IntRows, int]]:
+        """(den * image, den) of the ray at each integer radius in `radii`.
 
-        Weights are int_weights / total; t is an integer radius.
+        Weights are int_weights / total.  A map with a `scaled` hook builds
+        the ray once: hook(simplex, int_weights, total) validates the simplex
+        and returns (coeffs, den) with den * image(t) = sum_k coeffs[k] t^k,
+        a polynomial in t with integer matrix coefficients, which is then
+        evaluated at each radius.  Without a hook each radius is evaluated
+        exactly and scaled to integers.
         """
-        if self._scaled is not None:
-            return self._scaled(simplex, int_weights, total, t)
-        ws = [Fraction(a, total) for a in int_weights]
-        g = self._evaluate(ConePoint(tuple(simplex), tuple(ws), Fraction(t)))
-        return g.scaled_int()
+        if self._scaled is None:
+            ws = tuple(Fraction(a, total) for a in int_weights)
+            return [
+                self._evaluate(ConePoint(tuple(simplex), ws, Fraction(t))).scaled_int()
+                for t in radii
+            ]
+        coeffs, den = self._scaled(simplex, int_weights, total)
+        n = len(coeffs[0])
+        head, *tail = [tuple(chain.from_iterable(c)) for c in coeffs]
+        out = []
+        for t in radii:
+            flat, tk = head, 1
+            for c in tail:
+                tk *= t
+                flat = map(add, flat, map(mul, c, repeat(tk)))
+            flat = tuple(flat)
+            out.append((tuple(flat[i:i + n] for i in range(0, n * n, n)), den))
+        return out
 
     def __repr__(self) -> str:
         return f"ConeMap({self.name}, n={self.size})"
@@ -133,6 +152,14 @@ def heisenberg_domain(n: int) -> SimplicialComplex:
     return SimplicialComplex.from_facets(facets, assume_maximal=True)
 
 
+def _int_matrix(n: int, entries: dict, diagonal: int = 0) -> IntRows:
+    """The integer n x n matrix with `entries` at 1-based positions."""
+    rows = [[diagonal if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), v in entries.items():
+        rows[i - 1][j - 1] = v
+    return tuple(map(tuple, rows))
+
+
 def heisenberg_map(n: int) -> ConeMap:
     """Upper unitriangular matrices with signed weighted entries."""
 
@@ -141,12 +168,11 @@ def heisenberg_map(n: int) -> ConeMap:
         entries = {pos: s * w * p.t for (pos, s), w in zip(p.simplex, p.weights)}
         return ExactMatrix.from_entries(n, entries)
 
-    def scaled(simplex, int_weights, total, t):
+    def scaled(simplex, int_weights, total):
+        # total * image(t) = total I + t N
         _check_positions(n, simplex, above_only=True)
-        rows = [[total if i == j else 0 for j in range(n)] for i in range(n)]
-        for ((i, j), s), a in zip(simplex, int_weights):
-            rows[i - 1][j - 1] = s * a * t
-        return tuple(tuple(r) for r in rows), total
+        entries = {pos: s * a for (pos, s), a in zip(simplex, int_weights)}
+        return (_int_matrix(n, {}, total), _int_matrix(n, entries)), total
 
     return ConeMap(f"heisenberg(n={n})", heisenberg_domain(n), n, evaluate, scaled)
 
@@ -171,16 +197,13 @@ def split_map(n: int) -> ConeMap:
         upper, lower = _split_parts(n, p.simplex, p.weights, p.t)
         return ExactMatrix.from_entries(n, upper) @ ExactMatrix.from_entries(n, lower)
 
-    def scaled(simplex, int_weights, total, t):
-        upper, lower = _split_parts(n, simplex, int_weights, t)
-        u = [[total if i == j else 0 for j in range(n)] for i in range(n)]
-        l = [[total if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in upper.items():
-            u[i - 1][j - 1] = v
-        for (i, j), v in lower.items():
-            l[i - 1][j - 1] = v
-        m = int_matmul(tuple(tuple(r) for r in u), tuple(tuple(r) for r in l))
-        return m, total * total
+    def scaled(simplex, int_weights, total):
+        # total^2 * U L = (total I + t N_U)(total I + t N_L), expanded in t;
+        # N_U and N_L have disjoint supports
+        upper, lower = _split_parts(n, simplex, int_weights, 1)
+        mid = {pos: total * v for pos, v in chain(upper.items(), lower.items())}
+        square = int_matmul(_int_matrix(n, upper), _int_matrix(n, lower))
+        return (_int_matrix(n, {}, total * total), _int_matrix(n, mid), square), total * total
 
     return ConeMap(f"split(n={n})", obstructor_subcomplex(n), n, evaluate, scaled)
 
@@ -262,16 +285,18 @@ def distance(a: ExactMatrix, b: ExactMatrix) -> float:
 # ---------------------------------------------------------------------------
 # deterministic sampling
 
+@cache
 def sample_weight_vectors(m: int, samples: int = 8, seed: int = 0, total: int = WEIGHT_TOTAL):
-    """Deterministic interior weight vectors (integers over `total`).
+    """Deterministic interior weight vectors (integers over `total`), as a tuple.
 
     The first vector is the barycenter; the rest are seeded random interior
     compositions.  Every entry is >= 1 so the points avoid proper faces.
+    The result depends only on the arguments and is computed once for each.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if m == 0:
-        return [()]
+        return ((),)
     base, rem = divmod(total, m)
     bary = tuple(base + (1 if i < rem else 0) for i in range(m))
     out = [bary]
@@ -281,12 +306,11 @@ def sample_weight_vectors(m: int, samples: int = 8, seed: int = 0, total: int = 
         for _ in range(total - m):
             a[rng.randrange(m)] += 1
         out.append(tuple(a))
-    return out
+    return tuple(out)
 
 
-def _prep(cone_map: ConeMap, simplex, weights, total, t):
+def _prep(cone_map: ConeMap, simplex, m: IntRows, den: int):
     """(m, m transposed, adj m, den) for the image m/den, which must have det 1."""
-    m, den = cone_map.scaled(simplex, weights, total, t)
     m_t = tuple(zip(*m))
     adj = int_adjugate(m)
     # the statistics take adj(m)/den^(n-1) for (m/den)^-1, true only at det 1;
@@ -298,10 +322,11 @@ def _prep(cone_map: ConeMap, simplex, weights, total, t):
 
 def _sampled_rays(cone_map: ConeMap, simplex, samples: int, seed: int, radii) -> list[list]:
     """For each sampled weight vector of `simplex`, its _prep at every radius."""
-    return [
-        [_prep(cone_map, simplex, w, WEIGHT_TOTAL, t) for t in radii]
-        for w in sample_weight_vectors(len(simplex), samples, seed)
-    ]
+    rays = []
+    for w in sample_weight_vectors(len(simplex), samples, seed):
+        images = cone_map.scaled(simplex, w, WEIGHT_TOTAL, radii)
+        rays.append([_prep(cone_map, simplex, m, den) for m, den in images])
+    return rays
 
 
 def _pair_stat(prep_a, prep_b) -> tuple[int, int]:

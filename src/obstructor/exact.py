@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 
 class Singular(ArithmeticError):
@@ -239,4 +240,4 @@ def int_matmax(a: IntRows, b_t: IntRows) -> int:
 
 
 def int_max_abs(a: IntRows) -> int:
-    return max(abs(x) for row in a for x in row)
+    return max(map(abs, chain.from_iterable(a)))

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obstructor import (
     BadSimplex,
@@ -27,6 +29,8 @@ from obstructor import (
     superimpose_map,
 )
 from obstructor.conemaps import GROWTH_FACTOR, WEIGHT_TOTAL, sample_weight_vectors
+
+ORACLE_RADII = (1, 16, 2 ** 20)
 
 
 def test_heisenberg_basics():
@@ -84,20 +88,102 @@ def test_split_image_has_determinant_one():
         assert m(ConePoint(s, w, rng.randint(1, 50))).det() == 1
 
 
+# heisenberg and split build each ray from their polynomial hook;
+# superimpose has none and goes through the exact fallback
+SCALED_MAPS = [heisenberg_map(3), heisenberg_map(4), split_map(3), split_map(4), superimpose_map(3)]
+
+
+def _assert_scaled_matches_exact(cm, simplex, weights, radii):
+    images = cm.scaled(simplex, weights, WEIGHT_TOTAL, radii)
+    assert len(images) == len(radii)
+    ws = [Fraction(a, WEIGHT_TOTAL) for a in weights]
+    for (rows, den), t in zip(images, radii):
+        exact = cm(ConePoint(simplex, ws, t))
+        assert ExactMatrix([[Fraction(v, den) for v in row] for row in rows]) == exact
+
+
 def test_scaled_path_matches_exact_path():
-    for builder in (heisenberg_map, split_map):
-        cm = builder(3)
-        rng = random.Random(11)
+    # every domain simplex at n = 3 and a sample at n = 4
+    for cm in SCALED_MAPS:
         sims = sorted(cm.domain.simplices(), key=repr)
-        for s in rng.sample(sims, 10):
+        if cm.size > 3:
+            sims = random.Random(11).sample(sims, 20)
+        for k, s in enumerate(sims):
             s = tuple(sorted(s))
-            total = 60
-            ws = [20] * len(s)
-            ws[0] += total - 20 * len(s)
-            t = 16
-            rows, den = cm.scaled(s, ws, total, t)
-            exact = cm(ConePoint(s, [Fraction(a, total) for a in ws], t))
-            assert ExactMatrix([[Fraction(v, den) for v in row] for row in rows]) == exact
+            for ws in sample_weight_vectors(len(s), 2, k):
+                _assert_scaled_matches_exact(cm, s, ws, ORACLE_RADII)
+    # no domain simplex of split_map has a t^2 term in its image; <23+,31+> has
+    for n in (3, 4):
+        _assert_scaled_matches_exact(split_map(n), (((2, 3), 1), ((3, 1), 1)), (20, 40), ORACLE_RADII)
+
+
+@st.composite
+def _interior_points(draw):
+    cm = draw(st.sampled_from(SCALED_MAPS))
+    n = cm.size
+    # any set of arrows of a total order is acyclic, so a valid split
+    # simplex, in or out of the domain; heisenberg needs the natural order
+    order = range(1, n + 1)
+    if not cm.name.startswith("heisenberg"):
+        order = draw(st.permutations(order))
+    arrows = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n)]
+    positions = draw(st.lists(st.sampled_from(arrows), min_size=1, unique=True))
+    s = tuple(sorted((p, draw(st.sampled_from((1, -1)))) for p in positions))
+    # an interior composition of WEIGHT_TOTAL: every part at least 1
+    cuts = draw(st.lists(st.integers(1, WEIGHT_TOTAL - 1), min_size=len(s) - 1,
+                         max_size=len(s) - 1, unique=True))
+    bounds = [0, *sorted(cuts), WEIGHT_TOTAL]
+    weights = [b - a for a, b in zip(bounds, bounds[1:])]
+    radii = draw(st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=4))
+    return cm, s, weights, radii
+
+
+@settings(max_examples=60, deadline=None)
+@given(_interior_points())
+def test_scaled_matches_exact_path_at_random_points(point):
+    _assert_scaled_matches_exact(*point)
+
+
+def test_scaled_validates_the_simplex():
+    h, m = heisenberg_map(3), split_map(3)
+    with pytest.raises(BadVertex):
+        h.scaled((((2, 1), 1),), (WEIGHT_TOTAL,), WEIGHT_TOTAL, (1,))
+    with pytest.raises(BadSimplex):
+        m.scaled((((1, 2), 1), ((2, 1), 1)), (30, 30), WEIGHT_TOTAL, (1,))
+    for cm in (h, m):
+        with pytest.raises(BadSimplex):
+            cm.scaled((((1, 2), 1), ((1, 2), -1)), (30, 30), WEIGHT_TOTAL, (1,))
+
+
+def test_sample_weight_vectors_is_memoized_and_still_refuses():
+    first = sample_weight_vectors(4, 8, 2)
+    assert isinstance(first, tuple) and all(isinstance(w, tuple) for w in first)
+    assert sample_weight_vectors(4, 8, 2) == first
+    assert len(first) == 8 and all(sum(w) == WEIGHT_TOTAL and min(w) >= 1 for w in first)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="samples"):
+            sample_weight_vectors(4, 0, 2)
+
+
+def _failed_simplices(report):
+    return [{k: v for k, v in f.items() if k != "growth"} for f in report.failures]
+
+
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map])
+@pytest.mark.parametrize("factor", [GROWTH_FACTOR, 10 ** 7])
+def test_hook_path_matches_generic_path(builder, factor):
+    # the same map without its hook goes through exact Fraction images; the
+    # dens differ, so the logs may differ in the last digits but no verdict may
+    cm = builder(3)
+    generic = ConeMap(cm.name, cm.domain, cm.size, cm.__call__)
+    for run in (
+        lambda m: properness_test(m, growth_factor=factor),
+        lambda m: divergence_suite(m, pairing="aligned", growth_factor=factor),
+    ):
+        fast, slow = run(cm), run(generic)
+        assert (fast.total, fast.passed, fast.failed) == (slow.total, slow.passed, slow.failed)
+        assert _failed_simplices(fast) == _failed_simplices(slow)
+        assert abs(fast.min_growth - slow.min_growth) < 1e-9
 
 
 def test_size_and_distance():
@@ -400,8 +486,6 @@ def test_unknown_pairing_is_refused():
 
 
 # oracle: the integer statistics against d_stat on the exact Fraction images
-
-ORACLE_RADII = (1, 16, 2 ** 20)
 
 
 def _log(x: Fraction) -> float:

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from obstructor import DimensionMismatch, ExactMatrix, Singular
-from obstructor.exact import int_adjugate, int_det, int_matmax, int_matmul
+from obstructor.exact import int_adjugate, int_det, int_matmax, int_matmul, int_max_abs
 
 
 def rand_matrix(rng, n, den=3):
@@ -78,3 +80,13 @@ def test_from_entries_and_indexing():
     assert m[1, 3] == Fraction(5, 2)
     assert m[2, 2] == 1
     assert m[3, 1] == 0
+
+
+@given(st.lists(st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=1, max_size=5), min_size=1, max_size=5))
+def test_int_max_abs_matches_definition(rows):
+    best = 0
+    for row in rows:
+        for x in row:
+            if abs(x) > best:
+                best = abs(x)
+    assert int_max_abs(rows) == best
