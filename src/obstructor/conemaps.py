@@ -99,8 +99,8 @@ class ConeMap:
         the ray once: hook(simplex, int_weights, total) validates the simplex
         and returns (coeffs, den) with den * image(t) = sum_k coeffs[k] t^k,
         a polynomial in t with integer matrix coefficients, which is then
-        evaluated at each radius.  Without a hook each radius is evaluated
-        exactly and scaled to integers.
+        evaluated at each radius with its all-zero top coefficients dropped.
+        Without a hook each radius is evaluated exactly and scaled to integers.
         """
         if self._scaled is None:
             ws = tuple(Fraction(a, total) for a in int_weights)
@@ -110,7 +110,10 @@ class ConeMap:
             ]
         coeffs, den = self._scaled(simplex, int_weights, total)
         n = len(coeffs[0])
-        head, *tail = [tuple(chain.from_iterable(c)) for c in coeffs]
+        flats = [tuple(chain.from_iterable(c)) for c in coeffs]
+        while len(flats) > 1 and not any(flats[-1]):
+            flats.pop()  # an all-zero top term, such as N_U N_L on split domains
+        head, *tail = flats
         out = []
         for t in radii:
             flat, tk = head, 1
@@ -211,7 +214,10 @@ def split_map(n: int) -> ConeMap:
 def superimpose_map(n: int) -> ConeMap:
     """The naive map placing every signed entry in a single matrix.
 
-    Kept as a foil: cones on disjoint simplices need not diverge under it.
+    Kept as a foil: on <12+,23+,13+> and <13-,32+> it has cones with
+    bounded pairs of drifting sequences, but <13-,32+> is not a simplex of
+    the domain (13- lies on the column-3 sphere and 32+ is that column's
+    added point), so no failure of divergence on the domain itself is known.
     """
 
     def evaluate(p: ConePoint) -> ExactMatrix:
@@ -386,6 +392,59 @@ def _pair_verdict(rays_a, rays_b, combos, growth_factor: int) -> tuple[bool, flo
     return ok, growth, d_first, d_last
 
 
+def _ray_bounds(ray) -> tuple:
+    """The integers of one sampled ray that _bounded_growth reads.
+
+    At the first radius: max |m|, n max |adj m| and den^n.  At the last
+    radius: row 0 of adj m, column n-1 of m and den^n.
+    """
+    (m, _, adj, den), (_, m_t, adj_last, den_last) = ray[0], ray[-1]
+    n = len(m)
+    return int_max_abs(m), n * int_max_abs(adj), den ** n, adj_last[0], m_t[-1], den_last ** n
+
+
+def _combo_bounds(a, b) -> tuple[int, int]:
+    """(upper, lower) bounds on the numerators of _pair_stat of two rays.
+
+    `a` and `b` are _ray_bounds of rays with equal dens.  At the first
+    radius, |adj A B| <= n |adj A| |B| gives upper >= max(|adj A B|,
+    |adj B A|, den^n); at the last radius, the (0, n-1) entries of adj A B
+    and adj B A give lower <= that maximum.
+    """
+    a_max, a_adj, df, a_row, a_col, dl = a
+    b_max, b_adj, _, b_row, b_col, _ = b
+    upper = max(a_adj * b_max, b_adj * a_max, df)
+    lower = max(abs(sum(map(mul, a_row, b_col))), abs(sum(map(mul, b_row, a_col))), dl)
+    return upper, lower
+
+
+def _bounded_growth(bounds_a, bounds_b, combos, growth_factor: int) -> float | None:
+    """A lower bound on the log growth of a pair whose every combo passes.
+
+    When the _combo_bounds alone show the growth inequality of _grew for
+    every combo, the pair passes exactly; otherwise (or when two rays' dens
+    differ) this returns None and the pair needs _pair_verdict.
+    """
+    growth = math.inf
+    for i, j in combos:
+        a, b = bounds_a[i], bounds_b[j]
+        df, dl = a[2], a[5]
+        if df != b[2] or dl != b[5]:
+            return None
+        upper, lower = _combo_bounds(a, b)
+        # _grew's inequality over the common den df * dl, inlined so the
+        # products serve the log too; calling _grew and _log_stat per combo
+        # made this loop about a quarter slower on heisenberg_map(4)
+        upper *= dl
+        lower *= df
+        if lower < growth_factor * upper:
+            return None
+        g = math.log(lower) - math.log(upper)
+        if g < growth:
+            growth = g
+    return growth
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -511,27 +570,39 @@ def divergence_suite(
     With pairing="aligned" the i-th sampled point of one simplex is paired
     with the i-th of the other (bulk mode); "cross" pairs all combinations.
     The verdict per pair compares exact integer statistics at the first and
-    last radius.
+    last radius.  A pair is first tried on integer bounds of those
+    statistics (_bounded_growth); it skips the exact statistic only when the
+    bounds prove the PASS and its growth cannot lower min_growth, so the
+    report is the one the exact statistic gives for every pair.
 
     A PASS covers the sampled fixed-weight rays only: sequences whose
-    weights drift toward a face are not seen, and superimpose_map(3), whose
-    cones on disjoint simplices contain bounded pairs of such sequences,
-    passes 396/396.  Images must have determinant 1 (ValueError otherwise).
+    weights drift toward a face are not seen.  The bounded drifting
+    sequences of superimpose_map(3) known so far use a tau that is not a
+    simplex of its domain, so its 396/396 PASS is not known to be false.
+    Images must have determinant 1 (ValueError otherwise).
     """
     if pairing not in ("aligned", "cross"):
         raise ValueError(f"pairing must be 'aligned' or 'cross', not {pairing!r}")
     t0 = time.perf_counter()
     ends = (radii[0], radii[-1])
-    prep = [
-        (frozenset(s), repr(s), _sampled_rays(cone_map, s, samples, seed, ends))
-        for s in _simplices_sorted(cone_map.domain)
-    ]
+    prep = []
+    for s in _simplices_sorted(cone_map.domain):
+        rays = _sampled_rays(cone_map, s, samples, seed, ends)
+        prep.append((frozenset(s), repr(s), rays, [_ray_bounds(r) for r in rays]))
     aligned = [(i, i) for i in range(samples)]
     combos = aligned if pairing == "aligned" else list(product(range(samples), repeat=2))
     report = SuiteReport(cone_map.name, "divergence", sampling=pairing)
-    for (set_a, repr_a, rays_a), (set_b, repr_b, rays_b) in combinations(prep, 2):
+    for (set_a, repr_a, rays_a, bounds_a), (set_b, repr_b, rays_b, bounds_b) in combinations(prep, 2):
         if not set_a.isdisjoint(set_b):
             continue
+        if report.total and not collect_rows:
+            # a PASS proved on the bounds, with a growth whose lower bound
+            # clears min_growth by more than the rounding of the logs, leaves
+            # the report as the exact statistic would, to the last bit
+            bound = _bounded_growth(bounds_a, bounds_b, combos, growth_factor)
+            if bound is not None and bound > report.min_growth + 1e-9:
+                report.record(True, bound, {})
+                continue
         ok, growth, d_first, d_last = _pair_verdict(rays_a, rays_b, combos, growth_factor)
         report.record(ok, growth, {"sigma": repr_a, "tau": repr_b, "growth": round(growth, 4)})
         if collect_rows:

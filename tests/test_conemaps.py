@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,23 @@ from obstructor import (
     split_residual,
     superimpose_map,
 )
-from obstructor.conemaps import GROWTH_FACTOR, WEIGHT_TOTAL, sample_weight_vectors
+from obstructor import conemaps
+from obstructor.conemaps import (
+    GROWTH_FACTOR,
+    WEIGHT_TOTAL,
+    SuiteReport,
+    _bounded_growth,
+    _combo_bounds,
+    _grew,
+    _log_stat,
+    _pair_stat,
+    _pair_verdict,
+    _ray_bounds,
+    _sampled_rays,
+    _simplices_sorted,
+    sample_weight_vectors,
+)
+from obstructor.exact import int_adjugate
 
 ORACLE_RADII = (1, 16, 2 ** 20)
 
@@ -112,9 +129,13 @@ def test_scaled_path_matches_exact_path():
             s = tuple(sorted(s))
             for ws in sample_weight_vectors(len(s), 2, k):
                 _assert_scaled_matches_exact(cm, s, ws, ORACLE_RADII)
-    # no domain simplex of split_map has a t^2 term in its image; <23+,31+> has
+    # no domain simplex of split_map has a t^2 term in its image, and scaled
+    # drops that all-zero term; <23+,31+> has one, which must be kept
     for n in (3, 4):
-        _assert_scaled_matches_exact(split_map(n), (((2, 3), 1), ((3, 1), 1)), (20, 40), ORACLE_RADII)
+        off_domain = (((2, 3), 1), ((3, 1), 1))
+        coeffs, _ = split_map(n)._scaled(off_domain, (20, 40), WEIGHT_TOTAL)
+        assert any(chain.from_iterable(coeffs[2]))
+        _assert_scaled_matches_exact(split_map(n), off_domain, (20, 40), ORACLE_RADII)
 
 
 @st.composite
@@ -221,11 +242,14 @@ def test_superimpose_counterexample_and_split_fix():
     # under the naive single-matrix map the cones on <12+,23+,13+> and
     # <13-,32+> contain sequences that stay a bounded distance apart; the
     # witnessing sequences drift their weights toward a vertex, so the
-    # boundedness is checked exactly rather than on fixed-weight rays
+    # boundedness is checked exactly rather than on fixed-weight rays.
+    # <13-,32+> is not a simplex of the map's domain, so this is no false
+    # PASS of divergence_suite on that domain
     naive = superimpose_map(3)
     splitm = split_map(3)
     sigma = (((1, 2), 1), ((1, 3), 1), ((2, 3), 1))
     tau = (((1, 3), -1), ((3, 2), 1))
+    assert not naive.domain.has_simplex(frozenset(tau))
     for r in (Fraction(10), Fraction(10 ** 4), Fraction(10 ** 8)):
         pa = ConePoint(sigma, (r / (r + 2), 1 / (r + 2), 1 / (r + 2)), r + 2)
         pb = ConePoint(tau, (r / (r + 1), 1 / (r + 1)), r + 1)
@@ -483,6 +507,118 @@ def test_fewer_than_one_sample_is_refused(samples):
 def test_unknown_pairing_is_refused():
     with pytest.raises(ValueError, match="pairing"):
         divergence_suite(heisenberg_map(3), pairing="alinged")
+
+
+# the integer-bound prefilter of divergence_suite
+
+
+def _all_exact_suite(cm, prep, pairing, growth_factor, ends=(1, 2 ** 20)):
+    """divergence_suite with rows, deciding every disjoint pair by _pair_verdict."""
+    combos = [(i, i) for i in range(8)] if pairing == "aligned" else list(product(range(8), repeat=2))
+    report = SuiteReport(cm.name, "divergence", sampling=pairing)
+    for (sigma, rays_a), (tau, rays_b) in combinations(prep, 2):
+        if set(sigma) & set(tau):
+            continue
+        ok, growth, d_first, d_last = _pair_verdict(rays_a, rays_b, combos, growth_factor)
+        report.record(ok, growth, {"sigma": repr(sigma), "tau": repr(tau), "growth": round(growth, 4)})
+        report.rows.append({
+            "sigma": repr(sigma), "tau": repr(tau), "radii": list(ends),
+            "d": [round(d_first, 4), round(d_last, 4)], "growth": round(growth, 4),
+            "verdict": "PASS" if ok else "FAIL",
+        })
+    return report
+
+
+def _fingerprint(report):
+    out = report.to_json()
+    del out["elapsed_s"]
+    out.pop("rows", None)
+    return out, repr(report.min_growth)
+
+
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+@pytest.mark.parametrize("pairing", ["aligned", "cross"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_bound_prefilter_matches_all_exact_suite(builder, pairing, seed, monkeypatch):
+    cm = builder(3)
+    exact_pairs = []
+
+    def counted(*args):
+        exact_pairs.append(1)
+        return _pair_verdict(*args)
+
+    monkeypatch.setattr(conemaps, "_pair_verdict", counted)
+    prep = [(s, _sampled_rays(cm, s, 8, seed, (1, 2 ** 20))) for s in _simplices_sorted(cm.domain)]
+    for factor in (GROWTH_FACTOR, 10 ** 7, 10 ** 13):
+        reference = _all_exact_suite(cm, prep, pairing, factor)
+        exact_pairs.clear()
+        filtered = divergence_suite(cm, seed=seed, pairing=pairing, growth_factor=factor)
+        assert _fingerprint(filtered) == _fingerprint(reference)
+        if factor == GROWTH_FACTOR and builder is not superimpose_map:
+            # the bounds decide pairs; superimpose's dens differ between rays
+            assert len(exact_pairs) < filtered.total
+        with_rows = divergence_suite(cm, seed=seed, pairing=pairing, growth_factor=factor,
+                                     collect_rows=True)
+        assert _fingerprint(with_rows) == _fingerprint(reference)
+        assert with_rows.rows == reference.rows
+
+
+def test_bound_prefilter_leaves_the_first_pair_exact():
+    # heisenberg_map(2) has one disjoint pair; from radius 2 on, the bound on
+    # its first statistic is twice the exact one, so a growth taken from the
+    # bounds would be too low by log 2
+    cm, ends = heisenberg_map(2), (2, 2 ** 20)
+    prep = [(s, _sampled_rays(cm, s, 8, 0, ends)) for s in _simplices_sorted(cm.domain)]
+    reference = _all_exact_suite(cm, prep, "aligned", GROWTH_FACTOR, ends)
+    assert reference.total == 1
+    filtered = divergence_suite(cm, radii=ends, pairing="aligned")
+    assert _fingerprint(filtered) == _fingerprint(reference)
+
+
+def _prep_of(m, den):
+    # the _prep tuple without its determinant check: the bounds do not need det 1
+    return m, tuple(zip(*m)), int_adjugate(m), den
+
+
+@st.composite
+def _ray_pairs(draw):
+    n = draw(st.integers(2, 4))
+    entries = st.integers(-(10 ** 6), 10 ** 6)
+    matrix = st.tuples(*[st.tuples(*[entries] * n)] * n)
+    dens = [draw(st.integers(1, 3600)) for _ in range(2)]
+    # the last radius scales both images by a common factor, so that some
+    # pairs pass the growth factor on the bounds alone
+    scale = draw(st.sampled_from((1, 2 ** 10, 2 ** 40)))
+    rays = []
+    for _ in range(2):
+        first, last = draw(matrix), draw(matrix)
+        last = tuple(tuple(scale * x for x in row) for row in last)
+        rays.append([_prep_of(first, dens[0]), _prep_of(last, dens[1])])
+        # now and then the second ray gets dens of its own
+        if draw(st.integers(0, 3)) == 0:
+            dens = [draw(st.integers(1, 3600)) for _ in range(2)]
+    return rays
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ray_pairs(), st.sampled_from((1, 2, GROWTH_FACTOR)))
+def test_combo_bounds_enclose_the_exact_statistics(rays, factor):
+    ray_a, ray_b = rays
+    bounds_a, bounds_b = _ray_bounds(ray_a), _ray_bounds(ray_b)
+    growth = _bounded_growth([bounds_a], [bounds_b], [(0, 0)], factor)
+    if (ray_a[0][3], ray_a[-1][3]) != (ray_b[0][3], ray_b[-1][3]):
+        assert growth is None  # the bounds hold for equal dens only
+        return
+    upper, lower = _combo_bounds(bounds_a, bounds_b)
+    first = _pair_stat(ray_a[0], ray_b[0])
+    last = _pair_stat(ray_a[-1], ray_b[-1])
+    n = len(ray_a[0][0])
+    assert first[1] == ray_a[0][3] ** n and last[1] == ray_a[-1][3] ** n
+    assert upper >= first[0]
+    assert lower <= last[0]
+    if growth is not None:
+        assert _grew(first, last, factor)
+        assert growth <= _log_stat(last) - _log_stat(first) + 1e-9
 
 
 # oracle: the integer statistics against d_stat on the exact Fraction images
