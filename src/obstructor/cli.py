@@ -41,12 +41,14 @@ def _emit(payload, as_json: bool, save: str | None, lines=None) -> None:
 
 
 def _parse_type(text: str) -> tuple[str, int]:
-    text = text.strip().upper()
-    if text.startswith("BC"):
-        return "BC", int(text[2:])
-    if text in ("E6", "E7", "E8", "F4", "G2"):
-        return text, rootsystems._FIXED_RANK[text]
-    return text[0], int(text[1:])
+    key = text.strip().upper()
+    if key in rootsystems._FIXED_RANK:
+        return key, rootsystems._FIXED_RANK[key]
+    family = "BC" if key.startswith("BC") else key[:1]
+    rank = key[len(family):]
+    if not rank.isdecimal():
+        raise ValueError(f"malformed type {text!r}: expected e.g. A3, C5, E8, BC4")
+    return family, int(rank)
 
 
 def cmd_rootsys(args) -> int:

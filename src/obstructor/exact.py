@@ -53,25 +53,6 @@ class ExactMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def det(self) -> Fraction:
-        m = [list(r) for r in self.rows]
-        n = self.n
-        out = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                out = -out
-            out *= m[col][col]
-            inv = m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    f = m[r][col] / inv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-        return out
-
     def inverse(self) -> "ExactMatrix":
         n = self.n
         m = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, r in enumerate(self.rows)]

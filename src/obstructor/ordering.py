@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import ne
 
 from .rootsystems import RootSystem, Vector, _vadd, _vneg
 
@@ -258,8 +259,8 @@ def verify_witness(rs: RootSystem, lab: Labeling, w: Witness) -> WitnessReport:
     """Check conditions (1)-(3) exactly, quantifying over all roots and zero.
 
     Node vectors are supported on a single coordinate, so a difference can
-    only be a positive multiple of a node when it has single-index support;
-    the exact rational proportionality test runs on those differences.
+    only be a positive multiple of a node when sigma and phi differ in exactly
+    one coordinate; the exact rational proportionality test runs on those.
     """
     report = WitnessReport(ok=True)
     ahat = rs.hat(lab.focus)
@@ -271,12 +272,12 @@ def verify_witness(rs: RootSystem, lab: Labeling, w: Witness) -> WitnessReport:
         report.violations.append(("membership", w.sigma, w.mu))
     d_nodes = {i: rs.hat(i) for i in lab.nodes_labeled(D)}
     u_nodes = {i: rs.hat(i) for i in lab.nodes_labeled(U)}
-    for phi in sorted(rs._elements):
-        down = tuple(s - p for s, p in zip(w.sigma, phi))
-        support = [j for j, x in enumerate(down) if x != 0]
-        if len(support) != 1:
+    sigma = w.sigma
+    for phi in rs.elements:
+        if sum(map(ne, sigma, phi)) != 1:
             continue
-        j = support[0]
+        down = tuple(s - p for s, p in zip(sigma, phi))
+        j = next(j for j, x in enumerate(down) if x)
         if j in d_nodes:
             c = _positive_multiple_of_node(down, d_nodes[j])
             if c is not None:
@@ -341,7 +342,7 @@ class _BitIndex:
     """Bitmask machinery over the elements (roots and zero) of a system."""
 
     def __init__(self, rs: RootSystem):
-        self.elements = sorted(rs._elements)
+        self.elements = rs.elements
         self.index = {v: k for k, v in enumerate(self.elements)}
         n = rs.rank
         tmax = 2 * rs.max_coefficient()
@@ -352,13 +353,13 @@ class _BitIndex:
                 for t in range(1, tmax + 1):
                     down = list(v)
                     down[j] -= t
-                    if tuple(down) in rs._elements:
+                    if tuple(down) in rs._element_set:
                         self.bad_down[j] |= 1 << k
                         break
                 for t in range(1, tmax + 1):
                     up = list(v)
                     up[j] += t
-                    if tuple(up) in rs._elements:
+                    if tuple(up) in rs._element_set:
                         self.bad_up[j] |= 1 << k
                         break
 
@@ -367,7 +368,7 @@ class _BitIndex:
         for k, v in enumerate(self.elements):
             if restrict is not None and k not in restrict:
                 continue
-            if _vadd(v, ahat) in rs._elements:
+            if _vadd(v, ahat) in rs._element_set:
                 mask |= 1 << k
         return mask
 

@@ -1,11 +1,10 @@
 """Root systems in simple-root coordinates.
 
 A root is stored as an integer coefficient vector over the ordered simple
-roots.  Classical families (A, B, C, D and the unreduced BC) are built from
-their orthonormal-coordinate descriptions and converted; the exceptional
-families are generated from their Cartan matrices by the usual root-string
-algorithm.  Reducible systems are disjoint unions with block-diagonal
-coordinates.
+roots.  Every irreducible family is generated from its Cartan matrix by the
+usual root-string algorithm; the unreduced BC_n is B_n together with 2a for
+each short root a.  Reducible systems are disjoint unions with
+block-diagonal coordinates.
 
 Conventions: simple roots are ordered along the diagram (chain order, with
 the short/long special node last for B, C and BC, and the usual numbering
@@ -14,7 +13,6 @@ for D and E).  Multiplicities default to 1 and may be overridden per root.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 Vector = tuple[int, ...]
@@ -98,84 +96,7 @@ def _unit(i: int, n: int) -> Vector:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _solve_integer(basis: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]) -> Vector:
-    """Express target over the basis rows; coefficients must come out integral."""
-    # augmented system: columns are basis vectors, rhs is the target
-    m = len(basis[0])
-    k = len(basis)
-    aug = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][c]
-        aug[r] = [x / scale for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    coeffs = [Fraction(0)] * k
-    for row_idx, c in enumerate(piv_cols):
-        coeffs[c] = aug[row_idx][k]
-    for i in range(m):
-        if all(aug[i][c] == 0 for c in range(k)) and aug[i][k] != 0:
-            raise ValueError("target not in the span of the basis")
-    out = []
-    for x in coeffs:
-        if x.denominator != 1:
-            raise ValueError("non-integral coefficient")
-        out.append(int(x))
-    return tuple(out)
-
-
-def _classical_orthonormal(family: str, n: int):
-    """Simple roots and positive roots in orthonormal coordinates."""
-    F = Fraction
-
-    def e(i: int, dim: int) -> tuple[Fraction, ...]:
-        return tuple(F(1) if j == i else F(0) for j in range(dim))
-
-    def add(a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def smul(c, a):
-        return tuple(F(c) * x for x in a)
-
-    if family == "A":
-        dim = n + 1
-        simple = [sub(e(i, dim), e(i + 1, dim)) for i in range(n)]
-        pos = [sub(e(i, dim), e(j, dim)) for i in range(dim) for j in range(dim) if i < j]
-        return simple, pos
-
-    dim = n
-    chain = [sub(e(i, dim), e(i + 1, dim)) for i in range(n - 1)]
-    pairs_minus = [sub(e(i, dim), e(j, dim)) for i, j in combinations(range(n), 2)]
-    pairs_plus = [add(e(i, dim), e(j, dim)) for i, j in combinations(range(n), 2)]
-    singles = [e(i, dim) for i in range(n)]
-    doubles = [smul(2, e(i, dim)) for i in range(n)]
-
-    if family == "B":
-        return chain + [e(n - 1, dim)], pairs_minus + pairs_plus + singles
-    if family == "C":
-        return chain + [smul(2, e(n - 1, dim))], pairs_minus + pairs_plus + doubles
-    if family == "D":
-        return chain + [add(e(n - 2, dim), e(n - 1, dim))], pairs_minus + pairs_plus
-    if family == "BC":
-        if n == 1:
-            return [e(0, 1)], [e(0, 1), smul(2, e(0, 1))]
-        return chain + [e(n - 1, dim)], pairs_minus + pairs_plus + singles + doubles
-    raise InvalidRank(family)
-
-
-# Cartan data M[j][i] = 2(a_j, a_i)/(a_i, a_i) for the exceptional families.
+# Cartan data M[j][i] = 2(a_j, a_i)/(a_i, a_i), nodes in diagram order.
 def _cartan_matrix(family: str, n: int) -> list[list[int]]:
     M = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -183,7 +104,18 @@ def _cartan_matrix(family: str, n: int) -> list[list[int]]:
         M[i][j] = mij
         M[j][i] = mji
 
-    if family in ("E6", "E7", "E8"):
+    if family in ("A", "B", "C", "D", "BC"):
+        for i in range(n - 2):
+            bond(i, i + 1)
+        if family in ("B", "BC") and n >= 2:
+            bond(n - 2, n - 1, -2, -1)  # short last node
+        elif family == "C":
+            bond(n - 2, n - 1, -1, -2)  # long last node
+        elif family == "D":
+            bond(n - 3, n - 1)  # nodes n-2 and n-1 both attach to n-3
+        elif n >= 2:
+            bond(n - 2, n - 1)
+    elif family in ("E6", "E7", "E8"):
         edges = [(0, 2), (2, 3), (3, 4), (4, 5)]
         if n >= 7:
             edges.append((5, 6))
@@ -234,14 +166,11 @@ def _positive_roots_from_cartan(M: list[list[int]]) -> list[Vector]:
 def _component_positives(spec: RootSystemType) -> tuple[list[Vector], list[int]]:
     """Positive roots in local simple-root coordinates, plus doubled node indices."""
     fam, n = spec.family, spec.rank
-    if fam in ("A", "B", "C", "D", "BC"):
-        simple, pos = _classical_orthonormal(fam, n)
-        converted = [_solve_integer(simple, p) for p in pos]
-        doubled = []
-        if fam == "BC":
-            doubled = [n - 1]
-        return sorted(converted), doubled
-    return _positive_roots_from_cartan(_cartan_matrix(fam, n)), []
+    pos = _positive_roots_from_cartan(_cartan_matrix(fam, n))
+    if fam != "BC":
+        return pos, []
+    # BC_n is B_n together with 2a for each short root a (last coefficient 1)
+    return sorted(pos + [tuple(2 * x for x in v) for v in pos if v[-1] == 1]), [n - 1]
 
 
 class RootSystem:
@@ -282,7 +211,9 @@ class RootSystem:
             _vneg(v) for v in self.positive_roots
         )
         self.zero: Vector = tuple(0 for _ in range(self.rank))
-        self._elements = self._root_set | {self.zero}
+        # roots and zero: a set for membership, sorted once for iteration
+        self._element_set = self._root_set | {self.zero}
+        self.elements: tuple[Vector, ...] = tuple(sorted(self._element_set))
         self._mult: dict[Vector, int] = {}
         if multiplicities:
             for v, m in multiplicities.items():
@@ -305,7 +236,7 @@ class RootSystem:
         v = tuple(v)
         if len(v) != self.rank:
             return False
-        return v in self._elements
+        return v in self._element_set
 
     def is_root(self, v) -> bool:
         return tuple(v) in self._root_set

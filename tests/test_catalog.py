@@ -180,6 +180,10 @@ def test_cli_usage_errors(capsys):
     assert main(["lemma-key"]) == 2
     assert main(["complex"]) == 2
     assert main(["rootsys", "--family", "D", "--rank", "3"]) == 2
+    capsys.readouterr()
+    for text in ("A", "BC", "E", "C3x", "D-4"):
+        assert main(["lemma-key", "--type", text]) == 2
+        assert f"error: malformed type {text!r}" in capsys.readouterr().err
 
 
 def test_cli_save_respects_output_dir(tmp_path, monkeypatch, capsys):

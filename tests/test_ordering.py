@@ -12,7 +12,7 @@ from obstructor import (
     exhaustive_verify,
     verify_witness,
 )
-from obstructor.ordering import _positive_multiple_of_node
+from obstructor.ordering import WitnessReport, _positive_multiple_of_node
 
 GRID = (
     [("A", n) for n in range(1, 9)]
@@ -179,6 +179,49 @@ def test_bitset_filter_agrees_with_exact_verifier():
                 fast_ok = not (bad >> k) & 1
                 exact_ok = verify_witness(rs, lab, Witness(sigma, mu)).ok
                 assert fast_ok == exact_ok, (spec, lab, sigma)
+
+
+def _reference_verify(rs, lab, w):
+    """The verifier written out plainly: every difference's support, then the exact test."""
+    rep = WitnessReport(ok=True)
+    ahat = rs.hat(lab.focus)
+    if tuple(m - s for m, s in zip(w.mu, w.sigma)) != ahat:
+        rep.violations.append(("difference", w.sigma, w.mu, ahat))
+    if not (rs.is_element(w.sigma) and rs.is_element(w.mu)):
+        rep.violations.append(("membership", w.sigma, w.mu))
+    d_nodes = {i: rs.hat(i) for i in lab.nodes_labeled("D")}
+    u_nodes = {i: rs.hat(i) for i in lab.nodes_labeled("U")}
+    for phi in sorted(rs.roots | {rs.zero}):
+        down = tuple(s - p for s, p in zip(w.sigma, phi))
+        support = [j for j, x in enumerate(down) if x != 0]
+        if len(support) != 1:
+            continue
+        j = support[0]
+        if j in d_nodes:
+            c = _positive_multiple_of_node(down, d_nodes[j])
+            if c is not None:
+                rep.violations.append(("down", j, phi, c))
+        if j in u_nodes:
+            c = _positive_multiple_of_node(tuple(-x for x in down), u_nodes[j])
+            if c is not None:
+                rep.violations.append(("up", j, phi, c))
+    rep.ok = not rep.violations
+    return rep
+
+
+@pytest.mark.parametrize(
+    "spec", [("A", 2), ("C", 2), ("BC", 2), ("G2", 2), ("B", 3), [("A", 1), ("BC", 1)]], ids=str
+)
+def test_verify_witness_matches_reference_report(spec):
+    # every sigma among the roots-with-zero, including those whose
+    # mu = sigma + hat(focus) falls outside them, and a wrong difference
+    rs = build_root_system(spec)
+    for lab in all_labelings(rs):
+        ahat = rs.hat(lab.focus)
+        for sigma in sorted(rs.roots | {rs.zero}):
+            for mu in (tuple(s + a for s, a in zip(sigma, ahat)), sigma):
+                w = Witness(sigma, mu)
+                assert verify_witness(rs, lab, w) == _reference_verify(rs, lab, w), (lab, w)
 
 
 def test_wrong_order_is_detected():

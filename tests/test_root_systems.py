@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from obstructor import InvalidRank, NotSimpleRoot, build_root_system
+from obstructor import ExactMatrix, InvalidRank, NotSimpleRoot, build_root_system
 from obstructor.rootsystems import RootSystemType
 
 ALL_TYPES = (
@@ -159,8 +159,8 @@ def _string_generated(cartan):
 
 
 def test_classical_families_match_string_generation():
-    # dual route: the library builds A-D from orthonormal coordinates;
-    # regenerate each from its Cartan matrix and compare exactly.
+    # the library builds every family from its own Cartan matrix; write the
+    # classical ones out here as perturbed chains and compare exactly.
     def chain(n):
         return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
 
@@ -175,6 +175,61 @@ def test_classical_families_match_string_generation():
             m[rank - 1][rank - 3] = m[rank - 3][rank - 1] = -1
         rs = build_root_system((fam, rank))
         assert set(rs.positive_roots) == _string_generated(m), (fam, rank)
+
+
+def _classical_orthonormal(family, n):
+    """Simple and positive roots of a classical family in orthonormal coordinates."""
+    dim = n + 1 if family == "A" else n
+
+    def e(*terms):
+        v = [0] * dim
+        for i, c in terms:
+            v[i] += c
+        return tuple(v)
+
+    pairs = list(combinations(range(dim), 2))
+    minus = [e((i, 1), (j, -1)) for i, j in pairs]
+    chain = [e((i, 1), (i + 1, -1)) for i in range(dim - 1)]
+    if family == "A":
+        return chain, minus
+    plus = [e((i, 1), (j, 1)) for i, j in pairs]
+    singles = [e((i, 1)) for i in range(n)]
+    doubles = [e((i, 2)) for i in range(n)]
+    return {
+        "B": (chain + [e((n - 1, 1))], minus + plus + singles),
+        "C": (chain + [e((n - 1, 2))], minus + plus + doubles),
+        "D": (chain + [e((n - 2, 1), (n - 1, 1))], minus + plus),
+        "BC": (chain + [e((n - 1, 1))], minus + plus + singles + doubles),
+    }[family]
+
+
+def _orthonormal_route(family, n):
+    """Positive roots over the simple roots by an exact Gram solve, and the doubled nodes."""
+    simple, positives = _classical_orthonormal(family, n)
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    gram_inv = ExactMatrix([[dot(a, b) for b in simple] for a in simple]).inverse().rows
+    coords = []
+    for v in positives:
+        rhs = [dot(a, v) for a in simple]
+        c = [sum(g * r for g, r in zip(row, rhs)) for row in gram_inv]
+        assert all(x.denominator == 1 for x in c), (family, n, v)
+        c = tuple(int(x) for x in c)
+        assert tuple(sum(ci * a[k] for ci, a in zip(c, simple)) for k in range(len(v))) == v
+        coords.append(c)
+    doubled = {i for i in range(n) if tuple(2 * (k == i) for k in range(n)) in coords}
+    return sorted(coords), doubled
+
+
+@pytest.mark.parametrize("fam,rank", [t for t in ALL_TYPES if t[0] in ("A", "B", "C", "D", "BC")])
+def test_classical_families_match_orthonormal_route(fam, rank):
+    # independent oracle: the textbook orthonormal description, converted
+    rs = build_root_system((fam, rank))
+    positives, doubled = _orthonormal_route(fam, rank)
+    assert list(rs.positive_roots) == positives
+    assert rs.doubled_nodes == doubled
 
 
 def test_highest_root_coefficients_bc():
