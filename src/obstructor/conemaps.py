@@ -32,7 +32,9 @@ from .exact import (
     int_matmax,
     int_matmul,
     int_max_abs,
+    int_poly_max_abs,
     log_abs,
+    unipotent_adjugate,
 )
 
 GROWTH_FACTOR = 1024  # statistic ratio equal to a gap of 10*log 2
@@ -92,15 +94,26 @@ class ConeMap:
     def __call__(self, point: ConePoint) -> ExactMatrix:
         return self._evaluate(point)
 
+    def polynomial(self, simplex, int_weights, total) -> tuple[list[IntRows], int]:
+        """(coeffs, den) with den * image(t) = sum_k coeffs[k] t^k, from the hook.
+
+        Weights are int_weights / total.  The hook validates the simplex
+        and returns the integer matrix coefficients of the ray; all-zero top
+        coefficients, such as N_U N_L on split domains, are dropped here.
+        """
+        coeffs, den = self._scaled(simplex, int_weights, total)
+        coeffs = list(coeffs)
+        while len(coeffs) > 1 and not any(chain.from_iterable(coeffs[-1])):
+            coeffs.pop()
+        return coeffs, den
+
     def scaled(self, simplex, int_weights, total, radii) -> list[tuple[IntRows, int]]:
         """(den * image, den) of the ray at each integer radius in `radii`.
 
         Weights are int_weights / total.  A map with a `scaled` hook builds
-        the ray once: hook(simplex, int_weights, total) validates the simplex
-        and returns (coeffs, den) with den * image(t) = sum_k coeffs[k] t^k,
-        a polynomial in t with integer matrix coefficients, which is then
-        evaluated at each radius with its all-zero top coefficients dropped.
-        Without a hook each radius is evaluated exactly and scaled to integers.
+        the ray once, as its `polynomial`, and evaluates that at each
+        radius.  Without a hook each radius is evaluated exactly and scaled
+        to integers.
         """
         if self._scaled is None:
             ws = tuple(Fraction(a, total) for a in int_weights)
@@ -108,12 +121,9 @@ class ConeMap:
                 self._evaluate(ConePoint(tuple(simplex), ws, Fraction(t))).scaled_int()
                 for t in radii
             ]
-        coeffs, den = self._scaled(simplex, int_weights, total)
+        coeffs, den = self.polynomial(simplex, int_weights, total)
         n = len(coeffs[0])
-        flats = [tuple(chain.from_iterable(c)) for c in coeffs]
-        while len(flats) > 1 and not any(flats[-1]):
-            flats.pop()  # an all-zero top term, such as N_U N_L on split domains
-        head, *tail = flats
+        head, *tail = [tuple(chain.from_iterable(c)) for c in coeffs]
         out = []
         for t in radii:
             flat, tk = head, 1
@@ -205,8 +215,12 @@ def split_map(n: int) -> ConeMap:
         # N_U and N_L have disjoint supports
         upper, lower = _split_parts(n, simplex, int_weights, 1)
         mid = {pos: total * v for pos, v in chain(upper.items(), lower.items())}
-        square = int_matmul(_int_matrix(n, upper), _int_matrix(n, lower))
-        return (_int_matrix(n, {}, total * total), _int_matrix(n, mid), square), total * total
+        coeffs = (_int_matrix(n, {}, total * total), _int_matrix(n, mid))
+        # N_U N_L is zero unless an upper column index meets a lower row
+        # index, as on no simplex of the split domains
+        if {j for _, j in upper} & {i for i, _ in lower}:
+            coeffs += (int_matmul(_int_matrix(n, upper), _int_matrix(n, lower)),)
+        return coeffs, total * total
 
     return ConeMap(f"split(n={n})", obstructor_subcomplex(n), n, evaluate, scaled)
 
@@ -356,6 +370,32 @@ def _ray_stat(prep) -> tuple[int, int]:
     n = len(m)
     denpow = den ** (n - 1)
     return max(int_max_abs(m) * den ** (n - 2), int_max_abs(adj), denpow), denpow
+
+
+def _ray_stats(cone_map: ConeMap, simplex, weights, radii) -> list[tuple[int, int]]:
+    """_ray_stat of one sampled ray at each radius.
+
+    A map without a `scaled` hook takes _prep at every radius.  With one,
+    the hook's polynomial den * image(t) = den I + Y(t) is read once: Y must
+    be nilpotent, which gives det 1 at every t and the adjugate as a
+    polynomial too, and each radius then evaluates only the entries of
+    den^(n-2) m(t) and adj(t) that can attain the maximum.
+    """
+    if cone_map._scaled is None:
+        images = cone_map.scaled(simplex, weights, WEIGHT_TOTAL, radii)
+        return [_ray_stat(_prep(cone_map, simplex, m, den)) for m, den in images]
+    coeffs, den = cone_map.polynomial(simplex, weights, WEIGHT_TOTAL)
+    n = len(coeffs[0])
+    adj = unipotent_adjugate(n, coeffs[1:], den) if coeffs[0] == _int_matrix(n, {}, den) else None
+    if adj is None:
+        raise ValueError(
+            f"{cone_map.name}: the hook's image over {simplex} is not den*I plus a nilpotent "
+            "polynomial in t, so it is not certified to have determinant 1"
+        )
+    scale = den ** (n - 2)
+    m = [tuple(map(mul, chain.from_iterable(c), repeat(scale))) for c in coeffs]
+    denpow = den ** (n - 1)
+    return [(b, denpow) for b in int_poly_max_abs(chain(zip(*m), zip(*adj)), denpow, radii)]
 
 
 def _log_stat(stat: tuple[int, int]) -> float:
@@ -518,6 +558,12 @@ class SuiteReport:
         return out
 
 
+def _check_radii(radii) -> None:
+    """Refuse a negative radius up front, as ConePoint does, for every map."""
+    if any(t < 0 for t in radii):
+        raise ValueError("radius must be nonnegative")
+
+
 def _simplices_sorted(domain: SimplicialComplex):
     ordered = sorted(domain.simplices(), key=lambda s: (len(s), sorted(map(repr, s))))
     return [tuple(sorted(s)) for s in ordered]
@@ -543,6 +589,7 @@ def divergence_test(
     sigma = tuple(sorted(sigma))
     tau = tuple(sorted(tau))
     radii = tuple(radii) if radii is not None else default_radii()
+    _check_radii(radii)
     if not sigma or not tau or set(sigma) & set(tau):
         return PairReport(sigma, tau, radii, [], 0.0, "INADMISSIBLE")
     rays_a = _sampled_rays(cone_map, sigma, samples, seed, radii)
@@ -583,6 +630,7 @@ def divergence_suite(
     """
     if pairing not in ("aligned", "cross"):
         raise ValueError(f"pairing must be 'aligned' or 'cross', not {pairing!r}")
+    _check_radii(radii)
     t0 = time.perf_counter()
     ends = (radii[0], radii[-1])
     prep = []
@@ -631,15 +679,18 @@ def properness_test(
     The monotone check depends on the sampling seed: at seeds 3, 4 and 8,
     eight facet rays of heisenberg_map(4) and of split_map(4) FAIL as
     non-monotone although each grows by more than e^35 over the schedule.
-    Images must have determinant 1 (ValueError otherwise).
+    Images must have determinant 1, and a map's `scaled` hook must give
+    den * image(t) as den I plus a nilpotent polynomial in t, checked once
+    per ray (ValueError otherwise).
     """
     t0 = time.perf_counter()
     radii = tuple(radii) if radii is not None else default_radii()
+    _check_radii(radii)
     report = SuiteReport(cone_map.name, "properness", sampling="rays")
     for s in _simplices_sorted(cone_map.domain):
         label = repr(s)
-        for ray in _sampled_rays(cone_map, s, samples, seed, radii):
-            stats = [_ray_stat(p) for p in ray]
+        for w in sample_weight_vectors(len(s), samples, seed):
+            stats = _ray_stats(cone_map, s, w, radii)
             monotone = all(_grew(a, b, 1) for a, b in zip(stats, stats[1:]))
             growth = _log_stat(stats[-1]) - _log_stat(stats[0])
             failure = {"simplex": label, "monotone": monotone, "growth": round(growth, 4)}

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, mul
 
 
 class Singular(ArithmeticError):
@@ -102,7 +103,7 @@ IntRows = tuple[tuple[int, ...], ...]
 
 def int_matmul(a: IntRows, b: IntRows) -> IntRows:
     cols = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def int_det(a: IntRows) -> int:
@@ -222,3 +223,70 @@ def int_matmax(a: IntRows, b_t: IntRows) -> int:
 
 def int_max_abs(a: IntRows) -> int:
     return max(map(abs, chain.from_iterable(a)))
+
+
+# integer matrix polynomials: lists of coefficients, constant term first ------
+
+
+def int_poly_matmul(p: list[IntRows], q: list[IntRows]) -> list[IntRows]:
+    """The product of two matrix polynomials."""
+    out = [None] * (len(p) + len(q) - 1)
+    for a, pa in enumerate(p):
+        for b, qb in enumerate(q):
+            prod = int_matmul(pa, qb)
+            acc = out[a + b]
+            out[a + b] = prod if acc is None else tuple(map(tuple, map(map, repeat(add), acc, prod)))
+    return out
+
+
+def unipotent_adjugate(n: int, ys: list[IntRows], den: int) -> list[list[int]] | None:
+    """adj(den I + Y(t)) as flat n*n coefficient rows, or None if Y^n != 0.
+
+    ys[k - 1] is the coefficient of t^k in the n x n matrix polynomial Y.
+    Y^n = 0, checked on the coefficients, gives det(den I + Y(t)) = den^n at
+    every t, and then adj = sum_{k<n} (-1)^k den^(n-1-k) Y^k.
+    """
+    # powers[k - 1] is Y^k, as coefficients of t^k, t^(k+1), ...; the first
+    # power that vanishes ends the list
+    powers = []
+    power = ys
+    while any(chain.from_iterable(chain.from_iterable(power))) and len(powers) < n:
+        powers.append(power)
+        power = int_poly_matmul(power, ys)
+    if len(powers) == n:
+        return None
+    adj = [[0] * (n * n) for _ in range(len(ys) * (n - 1) + 1)]
+    adj[0][::n + 1] = [den ** (n - 1)] * n
+    for k, power in enumerate(powers, 1):
+        scale = (-1) ** k * den ** (n - 1 - k)
+        for d, c in enumerate(power, k):
+            adj[d] = list(map(add, adj[d], map(mul, chain.from_iterable(c), repeat(scale))))
+    return adj
+
+
+def int_poly_max_abs(polys, floor: int, radii) -> list[int]:
+    """max(floor, |p(t)| over the integer polynomials p) at each radius t >= 0.
+
+    A single term c t^k is |c| t^k, so only the largest |c| of each degree k
+    counts, and p and -p give the same |p(t)|: only polynomials with
+    several terms are evaluated, one of each +- pair.
+    """
+    top = {0: floor}
+    several = set()
+    for poly in set(polys):
+        terms = [(k, c) for k, c in enumerate(poly) if c]
+        if len(terms) == 1:
+            (k, c), = terms
+            top[k] = max(top.get(k, 0), abs(c))
+        elif terms:
+            several.add(poly if terms[-1][1] > 0 else tuple(-c for c in poly))
+    best = [top.pop(0)] * len(radii)
+    for k, c in top.items():
+        best = list(map(max, best, [c * t ** k for t in radii]))
+    for poly in several:
+        head, *rest = reversed(poly)
+        v = [head] * len(radii)
+        for c in rest:
+            v = [x * t + c for x, t in zip(v, radii)]
+        best = list(map(max, best, map(abs, v)))
+    return best

@@ -192,3 +192,27 @@ def test_cli_save_respects_output_dir(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     saved = json.loads((tmp_path / "a2.json").read_text())
     assert saved["family"] == "A2"
+
+
+def test_cli_consecutive_calls_share_one_parser(capsys):
+    from obstructor import cli
+
+    assert cli._parser() is cli._parser()
+    assert main(["rootsys", "--family", "A", "--rank", "2", "--json"]) == 0
+    first = capsys.readouterr().out
+    assert json.loads(first)["family"] == "A2"
+    # a usage error exits as argparse does, and leaves the parser usable
+    with pytest.raises(SystemExit) as exc:
+        main(["rootsys", "--family", "Q", "--rank", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'Q'" in capsys.readouterr().err
+    # options of an earlier call do not carry over: no --json, so text
+    assert main(["rootsys", "--family", "A", "--rank", "2"]) == 0
+    assert capsys.readouterr().out.startswith("type A2  rank 2  positive roots 3")
+    assert main(["complex", "--cuspidal", "3", "--betti"]) == 0
+    out = capsys.readouterr().out
+    assert "betti (1, 1, 0)" in out and "f-vector" not in out
+    assert main(["lemma-key"]) == 2
+    assert "need --type or --all" in capsys.readouterr().err
+    assert main(["rootsys", "--family", "A", "--rank", "2", "--json"]) == 0
+    assert capsys.readouterr().out == first

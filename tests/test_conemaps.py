@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obstructor import (
@@ -34,13 +34,17 @@ from obstructor.conemaps import (
     GROWTH_FACTOR,
     WEIGHT_TOTAL,
     SuiteReport,
+    heisenberg_domain,
     _bounded_growth,
     _combo_bounds,
     _grew,
     _log_stat,
     _pair_stat,
     _pair_verdict,
+    _prep,
     _ray_bounds,
+    _ray_stat,
+    _ray_stats,
     _sampled_rays,
     _simplices_sorted,
     sample_weight_vectors,
@@ -139,9 +143,8 @@ def test_scaled_path_matches_exact_path():
         _assert_scaled_matches_exact(split_map(n), off_domain, (20, 40), ORACLE_RADII)
 
 
-@st.composite
-def _interior_points(draw):
-    cm = draw(st.sampled_from(SCALED_MAPS))
+def _draw_ray(draw, cm):
+    """A simplex of `cm`'s vertices, in or out of its domain, and interior weights."""
     n = cm.size
     # any set of arrows of a total order is acyclic, so a valid split
     # simplex, in or out of the domain; heisenberg needs the natural order
@@ -156,6 +159,13 @@ def _interior_points(draw):
                          max_size=len(s) - 1, unique=True))
     bounds = [0, *sorted(cuts), WEIGHT_TOTAL]
     weights = [b - a for a, b in zip(bounds, bounds[1:])]
+    return s, weights
+
+
+@st.composite
+def _interior_points(draw):
+    cm = draw(st.sampled_from(SCALED_MAPS))
+    s, weights = _draw_ray(draw, cm)
     radii = draw(st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=4))
     return cm, s, weights, radii
 
@@ -164,6 +174,83 @@ def _interior_points(draw):
 @given(_interior_points())
 def test_scaled_matches_exact_path_at_random_points(point):
     _assert_scaled_matches_exact(*point)
+
+
+# properness reads each hook ray's statistics from its polynomial
+
+HOOK_MAPS = {(b.__name__, n): b(n) for b in (heisenberg_map, split_map) for n in (2, 3, 4)}
+OFF_DOMAIN = (((2, 3), 1), ((3, 1), 1))  # split's image has a t^2 term here
+
+
+@st.composite
+def _hook_rays(draw):
+    cm = draw(st.sampled_from(sorted(HOOK_MAPS.items())))[1]
+    s, weights = _draw_ray(draw, cm)
+    not_a_power_of_2 = draw(st.integers(3, 2 ** 30).filter(lambda r: r & (r - 1)))
+    radii = [0, 1, not_a_power_of_2, 2 ** 20]
+    radii += draw(st.lists(st.integers(0, 2 ** 40), max_size=4))
+    return cm, s, weights, draw(st.permutations(radii))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hook_rays())
+@example((HOOK_MAPS["split_map", 3], OFF_DOMAIN, (20, 40), (0, 1, 5, 2 ** 20)))
+@example((HOOK_MAPS["split_map", 4], OFF_DOMAIN, (13, 47), (2 ** 20, 3, 1, 0)))
+def test_ray_stats_from_the_polynomial_match_prep_at_every_radius(ray):
+    cm, s, weights, radii = ray
+    images = cm.scaled(s, weights, WEIGHT_TOTAL, radii)
+    expected = [_ray_stat(_prep(cm, s, m, den)) for m, den in images]
+    assert _ray_stats(cm, s, weights, radii) == expected
+
+
+def test_ray_stats_see_the_t2_term_off_the_domain():
+    for n in (3, 4):
+        cm = HOOK_MAPS["split_map", n]
+        coeffs, _ = cm.polynomial(OFF_DOMAIN, (20, 40), WEIGHT_TOTAL)
+        assert len(coeffs) == 3 and any(chain.from_iterable(coeffs[2]))
+        radii = (0, 1, 7, 2 ** 20)
+        images = cm.scaled(OFF_DOMAIN, (20, 40), WEIGHT_TOTAL, radii)
+        assert _ray_stats(cm, OFF_DOMAIN, (20, 40), radii) == [
+            _ray_stat(_prep(cm, OFF_DOMAIN, m, den)) for m, den in images
+        ]
+
+
+def _hooked(hook):
+    # a map on heisenberg(2)'s domain whose rays go through `hook` alone
+    return ConeMap("hooked", heisenberg_domain(2), 2, lambda p: ExactMatrix.identity(2), hook)
+
+
+@pytest.mark.parametrize("hook", [
+    # constant term den*I plus a nilpotent: det 1, but not the hook contract
+    lambda s, w, total: ((((total, 1), (0, total)), ((0, 1), (0, 0))), total),
+    # constant term 2 den*I
+    lambda s, w, total: ((((2 * total, 0), (0, 2 * total)), ((0, 1), (0, 0))), total),
+    # Y = t diag(1, -1), not nilpotent
+    lambda s, w, total: ((((total, 0), (0, total)), ((1, 0), (0, -1))), total),
+    # Y = t (0, total; 1, 0) + t^2 (1, 0; 0, 0): det 1 at every t, yet Y(t)
+    # has trace t^2, so the image is not unipotent
+    lambda s, w, total: ((((total, 0), (0, total)), ((0, total), (1, 0)), ((1, 0), (0, 0))), total),
+])
+def test_hooks_outside_the_contract_are_refused(hook):
+    with pytest.raises(ValueError, match="determinant 1"):
+        properness_test(_hooked(hook), radii=(1, 2 ** 20), samples=1)
+
+
+def test_a_unipotent_hook_is_accepted():
+    # Y = t N with N nilpotent: the same hook shape as heisenberg_map(2)
+    hook = lambda s, w, total: ((((total, 0), (0, total)), ((0, w[0]), (0, 0))), total)  # noqa: E731
+    assert properness_test(_hooked(hook), radii=(1, 2 ** 20), samples=1).all_passed
+
+
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+def test_negative_radii_are_refused_for_every_map(builder):
+    cm = builder(3)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        properness_test(cm, radii=(-4, 1, 2 ** 20))
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        divergence_suite(cm, radii=(-1, 2 ** 20))
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        divergence_test(cm, (((1, 2), 1),), (((1, 2), -1),), radii=(-1, 2 ** 20))
 
 
 def test_scaled_validates_the_simplex():

@@ -2,11 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstructor import DimensionMismatch, ExactMatrix, Singular
-from obstructor.exact import int_adjugate, int_det, int_matmax, int_matmul, int_max_abs
+from obstructor.exact import (
+    int_adjugate,
+    int_det,
+    int_matmax,
+    int_matmul,
+    int_max_abs,
+    int_poly_max_abs,
+    unipotent_adjugate,
+)
 
 
 def det(m: ExactMatrix) -> Fraction:
@@ -110,3 +118,60 @@ def test_int_max_abs_matches_definition(rows):
             if abs(x) > best:
                 best = abs(x)
     assert int_max_abs(rows) == best
+
+
+def _evaluate(coeffs, t):
+    """The integer matrix sum_k coeffs[k] t^k."""
+    n = len(coeffs[0])
+    return tuple(
+        tuple(sum(c[i][j] * t ** k for k, c in enumerate(coeffs)) for j in range(n))
+        for i in range(n)
+    )
+
+
+@st.composite
+def _nilpotent_polynomials(draw):
+    # strictly upper triangular in a permuted basis, so nilpotent at every t
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(n)))
+    entries = st.integers(-50, 50)
+    ys = []
+    for _ in range(draw(st.integers(0, 2))):
+        rows = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                rows[order[a]][order[b]] = draw(entries)
+        ys.append(tuple(map(tuple, rows)))
+    return n, ys, draw(st.integers(1, 3600))
+
+
+@settings(deadline=None)
+@given(_nilpotent_polynomials(), st.integers(0, 2 ** 30))
+def test_unipotent_adjugate_matches_int_adjugate(poly, t):
+    n, ys, den = poly
+    adj = unipotent_adjugate(n, ys, den)
+    eye = tuple(tuple(den if i == j else 0 for j in range(n)) for i in range(n))
+    expected = int_adjugate(_evaluate([eye, *ys], t))
+    flat = [sum(c[i] * t ** k for k, c in enumerate(adj)) for i in range(n * n)]
+    assert flat == [x for row in expected for x in row]
+    assert int_det(_evaluate([eye, *ys], t)) == den ** n
+
+
+def test_unipotent_adjugate_refuses_a_polynomial_that_is_not_nilpotent():
+    assert unipotent_adjugate(2, [((1, 0), (0, -1))], 5) is None
+    assert unipotent_adjugate(1, [((3,),)], 5) is None
+    # det(den I + Y(t)) = den^2 at every t, but Y(t) has trace t^2
+    assert unipotent_adjugate(2, [((0, 7), (1, 0)), ((1, 0), (0, 0))], 7) is None
+
+
+@given(
+    st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=5), max_size=8),
+    st.integers(1, 10 ** 6),
+    st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=5),
+)
+def test_int_poly_max_abs_matches_every_evaluation(polys, floor, radii):
+    expected = [
+        max([floor] + [abs(sum(c * t ** k for k, c in enumerate(p))) for p in polys])
+        for t in radii
+    ]
+    assert int_poly_max_abs(map(tuple, polys), floor, radii) == expected
