@@ -377,14 +377,13 @@ def exhaustive_verify(
     rs: RootSystem,
     name: str = "",
     order: tuple[int, ...] | None = None,
-    check_each: bool = True,
 ) -> OrderingReport:
     """Brute-force witness search over every labeling of every order prefix.
 
     Independent of ``construct_witness``: for each labeling it searches
     sigma over all roots-with-zero (taking mu = sigma + hat(focus)) and
-    tests conditions (2)-(3) against precomputed forbidden sets.  With
-    ``check_each`` every found witness is re-verified by ``verify_witness``.
+    tests conditions (2)-(3) against precomputed forbidden sets.  Every
+    found witness is re-verified by ``verify_witness``.
     Also runs the same search restricted to the focus's irreducible
     component, reporting both counts.
     """
@@ -415,7 +414,7 @@ def exhaustive_verify(
                 k = (good & -good).bit_length() - 1
                 sigma = bits.elements[k]
                 w = Witness(sigma=sigma, mu=_vadd(sigma, ahat))
-                if check_each and not verify_witness(rs, lab, w).ok:
+                if not verify_witness(rs, lab, w).ok:
                     raise ExhaustiveCheckFailure(lab)
                 witnessed += 1
             else:

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obstructor import DimensionMismatch, ExactMatrix, Singular
 from obstructor.exact import (
     int_adjugate,
     int_det,
+    int_det_adjugate,
     int_matmax,
     int_matmul,
     int_max_abs,
@@ -175,3 +176,88 @@ def test_int_poly_max_abs_matches_every_evaluation(polys, floor, radii):
         for t in radii
     ]
     assert int_poly_max_abs(map(tuple, polys), floor, radii) == expected
+
+
+def _low_rank(draw, n, rank, entries):
+    """An n x n integer matrix of rank at most `rank`, as a product n x rank by rank x n."""
+    b = [[draw(entries) for _ in range(rank)] for _ in range(n)]
+    c = [[draw(entries) for _ in range(n)] for _ in range(rank)]
+    return tuple(tuple(sum(b[i][k] * c[k][j] for k in range(rank)) for j in range(n)) for i in range(n))
+
+
+def _cofactor_transpose(a):
+    """adj a from the Fraction reference det of each (n-1) x (n-1) minor."""
+    n = len(a)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * det(ExactMatrix([[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]))
+            for i in range(n)
+        )
+        for j in range(n)
+    )
+
+
+def _scalar(n, d):
+    return tuple(tuple(d if i == j else 0 for j in range(n)) for i in range(n))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 6), st.integers(0, 2), st.data())
+def test_det_adjugate_at_full_rank_rank_n_minus_1_and_below(n, drop, data):
+    entries = st.integers(-9, 9)
+    if drop == 0:
+        a = tuple(tuple(data.draw(entries) for _ in range(n)) for _ in range(n))
+    elif drop == 1:
+        a = _low_rank(data.draw, n, max(n - 1, 0), entries)
+    else:
+        a = _low_rank(data.draw, n, data.draw(st.integers(0, max(n - 2, 0))), entries)
+    d, adj = int_det_adjugate(a)
+    reference = det(ExactMatrix(a))
+    cofactors = _cofactor_transpose(a)
+    if drop == 0:
+        assume(reference != 0)
+    elif drop == 1:
+        assume(any(map(any, cofactors)))  # rank exactly n - 1, so adj != 0
+    assert d == reference == int_det(a)
+    assert adj == cofactors
+    assert int_matmul(a, adj) == int_matmul(adj, a) == _scalar(n, d)
+    if drop == 2 and n >= 2:
+        assert d == 0 and adj == _scalar(n, 0)
+
+
+def test_det_adjugate_of_the_empty_matrix():
+    assert int_det_adjugate(()) == (1, ())
+    assert int_det(()) == 1
+    assert int_adjugate(()) == ()
+    assert ExactMatrix([]).inverse() == ExactMatrix([])
+
+
+@settings(deadline=None)
+@given(st.booleans(), st.integers(1, 3), st.data())
+def test_unrolled_4x4_adjugate_matches_the_kernel(full, rank, data):
+    if full:
+        a = tuple(tuple(data.draw(st.integers(-2 ** 80, 2 ** 80)) for _ in range(4)) for _ in range(4))
+    else:
+        a = _low_rank(data.draw, 4, rank, st.integers(-2 ** 40, 2 ** 40))
+    assert int_adjugate(a) == int_det_adjugate(a)[1]
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_inverse_round_trips(n, data):
+    m = ExactMatrix([[data.draw(_fractions) for _ in range(n)] for _ in range(n)])
+    assume(det(m) != 0)
+    assert m @ m.inverse() == ExactMatrix.identity(n) == m.inverse() @ m
+
+
+@settings(deadline=None)
+@given(st.integers(3, 5), st.data())
+def test_inverse_of_a_singular_matrix_raises(n, data):
+    b = [[data.draw(_fractions) for _ in range(n - 1)] for _ in range(n)]
+    c = [[data.draw(_fractions) for _ in range(n)] for _ in range(n - 1)]
+    m = ExactMatrix([[sum(b[i][k] * c[k][j] for k in range(n - 1)) for j in range(n)] for i in range(n)])
+    with pytest.raises(Singular):
+        m.inverse()
