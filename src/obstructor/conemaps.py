@@ -433,7 +433,7 @@ def _pair_verdict(rays_a, rays_b, combos, growth_factor: int) -> tuple[bool, flo
 
 
 def _ray_bounds(ray) -> tuple:
-    """The integers of one sampled ray that _bounded_growth reads.
+    """The integers of one sampled ray that _bounded_pass reads.
 
     At the first radius: max |m|, n max |adj m| and den^n.  At the last
     radius: row 0 of adj m, column n-1 of m and den^n.
@@ -443,46 +443,36 @@ def _ray_bounds(ray) -> tuple:
     return int_max_abs(m), n * int_max_abs(adj), den ** n, adj_last[0], m_t[-1], den_last ** n
 
 
-def _combo_bounds(a, b) -> tuple[int, int]:
-    """(upper, lower) bounds on the numerators of _pair_stat of two rays.
+def _threshold(growth_factor: int, growth: float) -> tuple[int, int]:
+    """(num, q), an integer ratio no smaller than max(growth_factor, e^(growth + 2e-9)).
 
-    `a` and `b` are _ray_bounds of rays with equal dens.  At the first
-    radius, |adj A B| <= n |adj A| |B| gives upper >= max(|adj A B|,
-    |adj B A|, den^n); at the last radius, the (0, n-1) entries of adj A B
-    and adj B A give lower <= that maximum.
+    e^(growth + 2e-9) is taken as 2^r 2^f, with 2^f in [1, 2) rounded up to
+    32 bits plus one unit, which covers the float error of r + f; no float
+    of the size of e^growth is formed, so no growth overflows.
     """
-    a_max, a_adj, df, a_row, a_col, dl = a
-    b_max, b_adj, _, b_row, b_col, _ = b
-    upper = max(a_adj * b_max, b_adj * a_max, df)
-    lower = max(abs(sum(map(mul, a_row, b_col))), abs(sum(map(mul, b_row, a_col))), dl)
-    return upper, lower
+    e = (growth + 2e-9) / math.log(2)
+    r = math.floor(e)
+    t = max(growth_factor, Fraction(math.ceil(2.0 ** (e - r) * 2 ** 32) + 1, 2 ** 32) * Fraction(2) ** r)
+    return t.numerator, t.denominator
 
 
-def _bounded_growth(bounds_a, bounds_b, combos, growth_factor: int) -> float | None:
-    """A lower bound on the log growth of a pair whose every combo passes.
+def _bounded_pass(bounds_a, bounds_b, combos, num: int, q: int) -> bool:
+    """Do the bounds prove lower * q >= num * upper for every combo (i, j)?
 
-    When the _combo_bounds alone show the growth inequality of _grew for
-    every combo, the pair passes exactly; otherwise (or when two rays' dens
-    differ) this returns None and the pair needs _pair_verdict.
+    `bounds_a` and `bounds_b` are _ray_bounds of rays sharing one den^n at
+    each end.  Of _pair_stat's numerators, |adj A B| <= n |adj A| |B| gives
+    upper >= the first; the (0, n-1) entries of adj A B and adj B A, or
+    den^n, give lower <= the last.
     """
-    growth = math.inf
     for i, j in combos:
-        a, b = bounds_a[i], bounds_b[j]
-        df, dl = a[2], a[5]
-        if df != b[2] or dl != b[5]:
-            return None
-        upper, lower = _combo_bounds(a, b)
-        # _grew's inequality over the common den df * dl, inlined so the
-        # products serve the log too; calling _grew and _log_stat per combo
-        # made this loop about a quarter slower on heisenberg_map(4)
-        upper *= dl
-        lower *= df
-        if lower < growth_factor * upper:
-            return None
-        g = math.log(lower) - math.log(upper)
-        if g < growth:
-            growth = g
-    return growth
+        a_max, a_adj, df, a_row, a_col, dl = bounds_a[i]
+        b_max, b_adj, _, b_row, b_col, _ = bounds_b[j]
+        bar = num * max(a_adj * b_max, b_adj * a_max, df)
+        # the second entry and den^n are read only when the first falls short
+        if (abs(sum(map(mul, a_row, b_col))) * q < bar and abs(sum(map(mul, b_row, a_col))) * q < bar
+                and dl * q < bar):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +607,12 @@ def divergence_suite(
     With pairing="aligned" the i-th sampled point of one simplex is paired
     with the i-th of the other (bulk mode); "cross" pairs all combinations.
     The verdict per pair compares exact integer statistics at the first and
-    last radius.  A pair is first tried on integer bounds of those
-    statistics (_bounded_growth); it skips the exact statistic only when the
-    bounds prove the PASS and its growth cannot lower min_growth, so the
-    report is the one the exact statistic gives for every pair.
+    last radius.  After the first pair, and without rows, a pair whose rays
+    all share one den at each end is first tried on integer bounds of those
+    statistics (_bounded_pass) against a threshold no smaller than
+    max(growth_factor, e^(min_growth + 2e-9)).  Clearing it proves the PASS
+    and a growth that cannot lower min_growth, so the report is the one the
+    exact statistic gives for every pair.
 
     A PASS covers the sampled fixed-weight rays only: sequences whose
     weights drift toward a face are not seen.  The bounded drifting
@@ -636,22 +628,27 @@ def divergence_suite(
     prep = []
     for s in _simplices_sorted(cone_map.domain):
         rays = _sampled_rays(cone_map, s, samples, seed, ends)
-        prep.append((frozenset(s), repr(s), rays, [_ray_bounds(r) for r in rays]))
+        bounds = [_ray_bounds(r) for r in rays]
+        dens = {(b[2], b[5]) for b in bounds}  # the simplex's den key
+        prep.append((frozenset(s), repr(s), rays, bounds, dens.pop() if len(dens) == 1 else None))
     aligned = [(i, i) for i in range(samples)]
     combos = aligned if pairing == "aligned" else list(product(range(samples), repeat=2))
     report = SuiteReport(cone_map.name, "divergence", sampling=pairing)
-    for (set_a, repr_a, rays_a, bounds_a), (set_b, repr_b, rays_b, bounds_b) in combinations(prep, 2):
+    threshold = None
+    pairs = combinations(prep, 2)
+    for (set_a, repr_a, rays_a, bounds_a, key_a), (set_b, repr_b, rays_b, bounds_b, key_b) in pairs:
         if not set_a.isdisjoint(set_b):
             continue
-        if report.total and not collect_rows:
-            # a PASS proved on the bounds, with a growth whose lower bound
-            # clears min_growth by more than the rounding of the logs, leaves
-            # the report as the exact statistic would, to the last bit
-            bound = _bounded_growth(bounds_a, bounds_b, combos, growth_factor)
-            if bound is not None and bound > report.min_growth + 1e-9:
-                report.record(True, bound, {})
+        if report.total and not collect_rows and key_a is not None and key_a == key_b:
+            # the exact statistic would leave the report as it is, to the
+            # last bit; the growth inf never reaches min_growth
+            (num, q), (df, dl) = threshold, key_a
+            if _bounded_pass(bounds_a, bounds_b, combos, num * dl, q * df):
+                report.record(True, math.inf, {})
                 continue
         ok, growth, d_first, d_last = _pair_verdict(rays_a, rays_b, combos, growth_factor)
+        if not report.total or growth < report.min_growth:
+            threshold = _threshold(growth_factor, growth)
         report.record(ok, growth, {"sigma": repr_a, "tau": repr_b, "growth": round(growth, 4)})
         if collect_rows:
             report.rows.append({
@@ -691,7 +688,7 @@ def properness_test(
         label = repr(s)
         for w in sample_weight_vectors(len(s), samples, seed):
             stats = _ray_stats(cone_map, s, w, radii)
-            monotone = all(_grew(a, b, 1) for a, b in zip(stats, stats[1:]))
+            monotone = all(nb * da >= na * db for (na, da), (nb, db) in zip(stats, stats[1:]))
             growth = _log_stat(stats[-1]) - _log_stat(stats[0])
             failure = {"simplex": label, "monotone": monotone, "growth": round(growth, 4)}
             report.record(monotone and _grew(stats[0], stats[-1], growth_factor), growth, failure)

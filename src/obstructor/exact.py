@@ -118,10 +118,6 @@ def int_det_adjugate(a: IntRows) -> tuple[int, IntRows]:
     return sign * c, tuple(tuple(-sign * x for x in row) for row in m)
 
 
-def int_det(a: IntRows) -> int:
-    return int_det_adjugate(a)[0]
-
-
 def int_adjugate(a: IntRows) -> IntRows:
     n = len(a)
     # unrolled: 11,648 of 12,272 calls a diverge round, 3.7 us against 108 us in the kernel

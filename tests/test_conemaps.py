@@ -1,7 +1,9 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, combinations, product
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,8 +37,7 @@ from obstructor.conemaps import (
     WEIGHT_TOTAL,
     SuiteReport,
     heisenberg_domain,
-    _bounded_growth,
-    _combo_bounds,
+    _bounded_pass,
     _grew,
     _log_stat,
     _pair_stat,
@@ -47,9 +48,10 @@ from obstructor.conemaps import (
     _ray_stats,
     _sampled_rays,
     _simplices_sorted,
+    _threshold,
     sample_weight_vectors,
 )
-from obstructor.exact import int_adjugate, int_det
+from obstructor.exact import int_adjugate, int_det_adjugate
 
 ORACLE_RADII = (1, 16, 2 ** 20)
 
@@ -107,7 +109,7 @@ def test_split_image_has_determinant_one():
         k = len(s)
         w = [Fraction(1, k)] * k
         rows, den = m(ConePoint(s, w, rng.randint(1, 50))).scaled_int()
-        assert int_det(rows) == den ** 4
+        assert int_det_adjugate(rows)[0] == den ** 4
 
 
 # heisenberg and split build each ray from their polynomial hook;
@@ -372,6 +374,12 @@ def test_properness_flags_rays_that_dip():
     assert rep.failed == rep.total == 2
     assert [f["monotone"] for f in rep.failures] == [False, False]
     assert rep.min_growth > math.log(GROWTH_FACTOR)
+
+
+def test_properness_accepts_a_repeated_radius():
+    # equal statistics at consecutive radii are nondecreasing, so monotone
+    rep = properness_test(heisenberg_map(3), radii=(1, 1, 2 ** 20))
+    assert rep.passed == rep.total > 0
 
 
 def test_default_radii():
@@ -651,6 +659,26 @@ def test_bound_prefilter_matches_all_exact_suite(builder, pairing, seed, monkeyp
         assert with_rows.rows == reference.rows
 
 
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+@pytest.mark.parametrize("ends, factor", [
+    ((1, 2 ** 900), GROWTH_FACTOR),  # min_growth about 624
+    ((1, 2 ** 2000), GROWTH_FACTOR),  # min_growth past 709, where e^min_growth overflows a float
+    ((2 ** 20, 1), GROWTH_FACTOR),  # every pair FAILs and min_growth is negative
+    ((2 ** 20, 2 ** 20), 1),  # min_growth is 0
+])
+def test_bound_prefilter_matches_all_exact_suite_at_the_threshold_edges(builder, ends, factor):
+    cm = builder(3)
+    prep = [(s, _sampled_rays(cm, s, 8, 0, ends)) for s in _simplices_sorted(cm.domain)]
+    for pairing in ("aligned", "cross"):
+        reference = _all_exact_suite(cm, prep, pairing, factor, ends)
+        filtered = divergence_suite(cm, radii=ends, pairing=pairing, growth_factor=factor)
+        assert _fingerprint(filtered) == _fingerprint(reference)
+        with_rows = divergence_suite(cm, radii=ends, pairing=pairing, growth_factor=factor,
+                                     collect_rows=True)
+        assert _fingerprint(with_rows) == _fingerprint(reference)
+        assert with_rows.rows == reference.rows
+
+
 def test_bound_prefilter_leaves_the_first_pair_exact():
     # heisenberg_map(2) has one disjoint pair; from radius 2 on, the bound on
     # its first statistic is twice the exact one, so a growth taken from the
@@ -673,6 +701,7 @@ def _ray_pairs(draw):
     n = draw(st.integers(2, 4))
     entries = st.integers(-(10 ** 6), 10 ** 6)
     matrix = st.tuples(*[st.tuples(*[entries] * n)] * n)
+    # _bounded_pass reads rays that share their dens; the suite sends it no other
     dens = [draw(st.integers(1, 3600)) for _ in range(2)]
     # the last radius scales both images by a common factor, so that some
     # pairs pass the growth factor on the bounds alone
@@ -682,31 +711,103 @@ def _ray_pairs(draw):
         first, last = draw(matrix), draw(matrix)
         last = tuple(tuple(scale * x for x in row) for row in last)
         rays.append([_prep_of(first, dens[0]), _prep_of(last, dens[1])])
-        # now and then the second ray gets dens of its own
-        if draw(st.integers(0, 3)) == 0:
-            dens = [draw(st.integers(1, 3600)) for _ in range(2)]
     return rays
 
 
+# zero images: only den^n holds up either bound, so both den terms decide
+_ZERO_RAY = [_prep_of(((0, 0), (0, 0)), 60)] * 2
+
+
 @settings(max_examples=200, deadline=None)
-@given(_ray_pairs(), st.sampled_from((1, 2, GROWTH_FACTOR)))
-def test_combo_bounds_enclose_the_exact_statistics(rays, factor):
+@given(_ray_pairs(), st.sampled_from((1, 2, GROWTH_FACTOR)), st.integers(1, 2 ** 40),
+       st.one_of(st.none(), st.integers(0, 2 ** 80)))
+@example([_ZERO_RAY, _ZERO_RAY], 1, 1, None)
+@example([_ZERO_RAY, _ZERO_RAY], 2, 1, None)
+def test_combo_bounds_enclose_the_exact_statistics(rays, factor, q, num):
     ray_a, ray_b = rays
     bounds_a, bounds_b = _ray_bounds(ray_a), _ray_bounds(ray_b)
-    growth = _bounded_growth([bounds_a], [bounds_b], [(0, 0)], factor)
-    if (ray_a[0][3], ray_a[-1][3]) != (ray_b[0][3], ray_b[-1][3]):
-        assert growth is None  # the bounds hold for equal dens only
-        return
-    upper, lower = _combo_bounds(bounds_a, bounds_b)
+    a_max, a_adj, df, a_row, a_col, dl = bounds_a
+    b_max, b_adj, _, b_row, b_col, _ = bounds_b
+    upper = max(a_adj * b_max, b_adj * a_max, df)
+    lower = max(abs(sum(map(mul, a_row, b_col))), abs(sum(map(mul, b_row, a_col))), dl)
     first = _pair_stat(ray_a[0], ray_b[0])
     last = _pair_stat(ray_a[-1], ray_b[-1])
-    n = len(ray_a[0][0])
-    assert first[1] == ray_a[0][3] ** n and last[1] == ray_a[-1][3] ** n
+    assert first[1] == df and last[1] == dl
     assert upper >= first[0]
     assert lower <= last[0]
-    if growth is not None:
-        assert _grew(first, last, factor)
-        assert growth <= _log_stat(last) - _log_stat(first) + 1e-9
+    # the threshold num/q with the den powers folded in, as divergence_suite does
+    num = factor * q if num is None else num
+    decided = _bounded_pass([bounds_a], [bounds_b], [(0, 0)], num * dl, q * df)
+    assert decided == (lower * q * df >= num * dl * upper)
+    if decided:
+        assert last[0] * q * df >= num * first[0] * dl
+        if num >= factor * q:
+            assert _grew(first, last, factor)
+
+
+def test_bounds_decide_only_pairs_whose_rays_share_their_dens(monkeypatch):
+    den_keys = []
+
+    def checked(bounds_a, bounds_b, combos, num, q):
+        den_keys.append({(b[2], b[5]) for b in chain(bounds_a, bounds_b)})
+        return _bounded_pass(bounds_a, bounds_b, combos, num, q)
+
+    monkeypatch.setattr(conemaps, "_bounded_pass", checked)
+    # superimpose's dens differ between the rays of most simplices
+    report = divergence_suite(superimpose_map(3), pairing="aligned")
+    assert 0 < len(den_keys) < report.total
+    assert all(len(k) == 1 for k in den_keys)
+
+
+def test_a_pair_goes_exact_only_when_its_bounds_fall_short(monkeypatch):
+    growths = []
+
+    def checked(rays_a, rays_b, combos, growth_factor):
+        bounds_a, bounds_b = [_ray_bounds(r) for r in rays_a], [_ray_bounds(r) for r in rays_b]
+        dens = {(b[2], b[5]) for b in chain(bounds_a, bounds_b)}
+        if growths and len(dens) == 1:
+            (num, q), ((df, dl),) = _threshold(growth_factor, min(growths)), dens
+            assert not _bounded_pass(bounds_a, bounds_b, combos, num * dl, q * df)
+        verdict = _pair_verdict(rays_a, rays_b, combos, growth_factor)
+        growths.append(verdict[1])
+        return verdict
+
+    monkeypatch.setattr(conemaps, "_pair_verdict", checked)
+    for builder in (heisenberg_map, split_map):
+        growths.clear()
+        # at radius 2^10 the bounds of many pairs clear the threshold by a narrow margin
+        report = divergence_suite(builder(3), radii=(1, 2 ** 10), pairing="cross")
+        assert 0 < len(growths) < report.total
+
+
+def test_threshold_is_formed_again_when_min_growth_falls(monkeypatch):
+    formed = []
+
+    def recorded(growth_factor, growth):
+        formed.append(growth)
+        return _threshold(growth_factor, growth)
+
+    monkeypatch.setattr(conemaps, "_threshold", recorded)
+    # from 2^20 down to 1 every pair FAILs and later pairs lower min_growth
+    report = divergence_suite(split_map(3), radii=(2 ** 20, 1), pairing="aligned")
+    assert len(formed) > 1 and formed == sorted(set(formed), reverse=True)
+    assert formed[-1] == report.min_growth
+
+
+@pytest.mark.parametrize("factor", [1, 3, GROWTH_FACTOR])
+# at the last two, 2^f rounded up to 32 bits alone falls short of e^(growth + 2e-9)
+@pytest.mark.parametrize("growth", [-40.2025, -1e-12, 0.0, 1e-9, math.log(3), 6.9314718,
+                                    13.17, 624.31, 709.9, 1386.4, 1393.1869808931774,
+                                    1663.9716945814168])
+def test_threshold_is_a_tight_exact_upper_bound(factor, growth):
+    num, q = _threshold(factor, growth)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        target = Fraction((Decimal(growth) + Decimal("2e-9")).exp())
+    assert Fraction(num, q) >= max(factor, target)
+    assert Fraction(num, q) <= max(factor, target * (1 + Fraction(1, 10 ** 9)))
+    if target < factor:
+        assert (num, q) == (factor, 1)
 
 
 # oracle: the integer statistics against d_stat on the exact Fraction images
