@@ -144,6 +144,12 @@ def test_cli_complex(capsys):
     assert "betti (1, 1, 0)" in out
 
 
+def test_cli_complex_obstructor_5_betti_json(capsys):
+    assert main(["complex", "--obstructor", "5", "--betti", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"complex": "L(5)", "vertices": 24, "facets": 2295, "betti": [1, 0, 0, 2, 2, 2, 4, 2, 2, 2]}
+
+
 def test_cli_dims_row(capsys):
     assert main(["dims", "--group", "sl", "--n", "3", "--ring", "Z", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from obstructor import (
     sphere_plus,
     sphere_preimage,
 )
-from obstructor.complexes import exact_rank
+from obstructor.complexes import column_pivots, exact_rank
 
 
 def brute_acyclic(arrows):
@@ -291,6 +292,23 @@ def test_exact_rank_unchanged_by_scaling_a_row(case, r, c):
     assert exact_rank(scaled) == exact_rank(rows)
 
 
+@PROPERTY
+@given(int_matrices())
+@example(([[6], [4], [-10]], 1))
+@example(([[2, 4], [3, 6]], 2))
+def test_column_pivots_are_primitive_keyed_by_lead_row_and_span_the_columns(case):
+    rows, ncols = case
+    columns = [{i: x for i, x in enumerate(col) if x} for col in transpose(rows, ncols)]
+    pivots = column_pivots(columns)
+    rank = fraction_rank(rows)
+    assert len(pivots) == rank
+    for lead, p in pivots.items():
+        assert min(p) == lead and gcd(*p.values()) == 1
+    # each pivot lies in the columns' span: appending them keeps the rank
+    extended = [row + [p.get(i, 0) for p in pivots.values()] for i, row in enumerate(rows)]
+    assert fraction_rank(extended) == rank
+
+
 # ---------------------------------------------------------------------------
 # homology against closed forms
 
@@ -324,7 +342,7 @@ def test_column_join_betti_closed_form_values():
     assert column_join_betti(5) == (1, 0, 0, 2, 2, 2, 4, 2, 2, 2)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_obstructor_subcomplex_betti_matches_join_formula(n):
     assert betti_numbers(obstructor_subcomplex(n)) == column_join_betti(n)
 
@@ -334,3 +352,74 @@ def test_arrow_complex_betti_euler_characteristic():
     betti = betti_numbers(c)
     chi = sum((-1) ** k * f for k, f in enumerate(c.f_vector()))
     assert sum((-1) ** k * b for k, b in enumerate(betti)) == chi
+
+
+# ---------------------------------------------------------------------------
+# homology of random complexes against dense boundary matrices
+
+def dense_betti(x):
+    """Reference Betti numbers: the closure as frozensets sorted by repr,
+    dense boundary rows, and ranks by fraction_rank."""
+    closure = {frozenset(c) for f in x.facets for k in range(1, len(f) + 1) for c in combinations(f, k)}
+    by_dim = {}
+    for s in closure:
+        by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s, key=repr)))
+    if not by_dim:
+        return ()
+    for faces in by_dim.values():
+        faces.sort(key=repr)
+    top = max(by_dim)
+    ranks = [0] * (top + 2)
+    for k in range(1, top + 1):
+        index = {s: i for i, s in enumerate(by_dim[k - 1])}
+        rows = [[0] * len(by_dim[k]) for _ in by_dim[k - 1]]
+        for j, s in enumerate(by_dim[k]):
+            for d in range(k + 1):
+                rows[index[s[:d] + s[d + 1:]]][j] = (-1) ** d
+        ranks[k] = fraction_rank(rows)
+    return tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
+
+
+LABELS = (0, 1, 2, "a", "b", (0, 1), ("x", -1), 2.5, None, frozenset({3}))
+
+
+@st.composite
+def small_complexes(draw, max_vertices=7):
+    """Complexes on at most max_vertices mixed labels, often holding the
+    boundary of a simplex; some listed facets are faces of others, kept as
+    facets half of the time."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=max_vertices, unique=True))
+    face = st.sets(st.sampled_from(labels), min_size=1, max_size=4)
+    facets = draw(st.lists(face, min_size=1, max_size=10))
+    spheres = st.lists(st.sets(st.sampled_from(labels), min_size=2), max_size=2)
+    for sphere in draw(spheres) if len(labels) > 1 else ():
+        facets += [sphere - {v} for v in sphere]
+    for f in draw(st.lists(st.sampled_from(facets), max_size=2)):
+        facets.append(set(draw(st.sets(st.sampled_from(sorted(f, key=repr)), min_size=1))))
+    vertices = labels if draw(st.booleans()) else None
+    return SimplicialComplex.from_facets(facets, vertices=vertices, assume_maximal=draw(st.booleans()))
+
+
+HOMOLOGY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@HOMOLOGY
+@given(small_complexes())
+def test_betti_numbers_match_dense_boundary_matrices(x):
+    betti = betti_numbers(x)
+    assert betti == dense_betti(x)
+    assert sum((-1) ** k * b for k, b in enumerate(betti)) == x.euler_characteristic()
+
+
+def _reduced(betti):
+    return [b - (k == 0) for k, b in enumerate(betti)]
+
+
+@HOMOLOGY
+@given(small_complexes(max_vertices=4), small_complexes(max_vertices=4))
+def test_betti_numbers_of_a_join_match_the_join_formula(x, y):
+    """Over Q the reduced Poincare polynomial of x*y is t*P(x)*P(y)."""
+    lhs = _reduced(betti_numbers(join(x, y)))
+    rhs = [0] + _poly_mul(_reduced(dense_betti(x)), _reduced(dense_betti(y)))
+    width = max(len(lhs), len(rhs))
+    assert lhs + [0] * (width - len(lhs)) == rhs + [0] * (width - len(rhs))
