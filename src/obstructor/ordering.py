@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from operator import ne
 
 from .rootsystems import RootSystem, Vector, _vadd, _vneg
 
@@ -258,9 +257,14 @@ def _positive_multiple_of_node(diff: Vector, node_vec: Vector) -> Fraction | Non
 def verify_witness(rs: RootSystem, lab: Labeling, w: Witness) -> WitnessReport:
     """Check conditions (1)-(3) exactly, quantifying over all roots and zero.
 
-    Node vectors are supported on a single coordinate, so a difference can
-    only be a positive multiple of a node when sigma and phi differ in exactly
-    one coordinate; the exact rational proportionality test runs on those.
+    A node vector is supported on its own coordinate j, so sigma - phi can
+    only be a positive multiple of a D-node when phi = sigma - d*e_j, and
+    phi - sigma of a U-node when phi = sigma + d*e_j, with d >= 1.  Every
+    root-or-zero has coordinates in [-M, M], M = ``rs.max_coefficient()``, so
+    d <= 2M for sigma among them: a check costs O(rank * 2M) membership
+    probes, not a scan of all O(|Phi|) roots.  The exact rational
+    proportionality test runs on each phi found, and violations are listed in
+    increasing order of phi.
     """
     report = WitnessReport(ok=True)
     ahat = rs.hat(lab.focus)
@@ -272,22 +276,23 @@ def verify_witness(rs: RootSystem, lab: Labeling, w: Witness) -> WitnessReport:
         report.violations.append(("membership", w.sigma, w.mu))
     d_nodes = {i: rs.hat(i) for i in lab.nodes_labeled(D)}
     u_nodes = {i: rs.hat(i) for i in lab.nodes_labeled(U)}
-    sigma = w.sigma
-    for phi in rs.elements:
-        if sum(map(ne, sigma, phi)) != 1:
-            continue
-        down = tuple(s - p for s, p in zip(sigma, phi))
-        j = next(j for j, x in enumerate(down) if x)
-        if j in d_nodes:
-            c = _positive_multiple_of_node(down, d_nodes[j])
-            if c is not None:
-                report.ok = False
-                report.violations.append(("down", j, phi, c))
-        if j in u_nodes:
-            c = _positive_multiple_of_node(_vneg(down), u_nodes[j])
-            if c is not None:
-                report.ok = False
-                report.violations.append(("up", j, phi, c))
+    sigma = tuple(w.sigma)
+    m = rs.max_coefficient()
+    found = []
+    for kind, sign, nodes in (("down", -1, d_nodes), ("up", 1, u_nodes)):
+        for j, node in nodes.items():
+            # phi_j = sigma_j + sign*d must lie in [-M, M]
+            r = -sign * sigma[j]
+            for d in range(max(1, r - m), r + m + 1):
+                phi = sigma[:j] + (sigma[j] + sign * d,) + sigma[j + 1 :]
+                if phi not in rs._element_set:
+                    continue
+                c = _positive_multiple_of_node(rs.zero[:j] + (d,) + rs.zero[j + 1 :], node)
+                if c is not None:
+                    found.append((kind, j, phi, c))
+    if found:
+        report.ok = False
+        report.violations.extend(sorted(found, key=lambda v: v[2]))
     return report
 
 
@@ -339,35 +344,46 @@ def construct_witness(rs: RootSystem, lab: Labeling) -> Witness:
 # exhaustive verification
 
 class _BitIndex:
-    """Bitmask machinery over the elements (roots and zero) of a system."""
+    """Bitmask machinery over the elements (roots and zero) of a system.
+
+    Bit k of ``bad_down[j]`` (``bad_up[j]``) is set when element k can step
+    down (up) along e_j to another element, that is, when another element on
+    its line through e_j (equal to it off coordinate j) has a smaller (larger)
+    j-th coordinate.  Both come from each line's minimum and maximum, in
+    O(|elements| * rank).  ``support[span]`` marks the elements supported on
+    the diagram component with node indices ``span``.
+    """
 
     def __init__(self, rs: RootSystem):
         self.elements = rs.elements
-        self.index = {v: k for k, v in enumerate(self.elements)}
         n = rs.rank
-        tmax = 2 * rs.max_coefficient()
         self.bad_down = [0] * n
         self.bad_up = [0] * n
-        for k, v in enumerate(self.elements):
-            for j in range(n):
-                for t in range(1, tmax + 1):
-                    down = list(v)
-                    down[j] -= t
-                    if tuple(down) in rs._element_set:
-                        self.bad_down[j] |= 1 << k
-                        break
-                for t in range(1, tmax + 1):
-                    up = list(v)
-                    up[j] += t
-                    if tuple(up) in rs._element_set:
-                        self.bad_up[j] |= 1 << k
-                        break
+        for j in range(n):
+            lines = [v[:j] + v[j + 1 :] for v in self.elements]
+            lo: dict[Vector, int] = {}
+            hi: dict[Vector, int] = {}
+            for line, v in zip(lines, self.elements):
+                lo[line] = min(lo.get(line, v[j]), v[j])
+                hi[line] = max(hi.get(line, v[j]), v[j])
+            for k, (line, v) in enumerate(zip(lines, self.elements)):
+                if v[j] > lo[line]:
+                    self.bad_down[j] |= 1 << k
+                if v[j] < hi[line]:
+                    self.bad_up[j] |= 1 << k
+        self.support: dict[tuple[int, ...], int] = {}
+        for span in rs.component_nodes:
+            outside = [j for j in range(n) if j not in span]
+            self.support[span] = sum(
+                1 << k
+                for k, v in enumerate(self.elements)
+                if all(v[j] == 0 for j in outside)
+            )
 
-    def candidates(self, rs: RootSystem, ahat: Vector, restrict=None) -> int:
+    def candidates(self, rs: RootSystem, ahat: Vector) -> int:
+        """The elements sigma with sigma + ahat also an element."""
         mask = 0
         for k, v in enumerate(self.elements):
-            if restrict is not None and k not in restrict:
-                continue
             if _vadd(v, ahat) in rs._element_set:
                 mask |= 1 << k
         return mask
@@ -396,13 +412,8 @@ def exhaustive_verify(
         focus = order[p - 1]
         ahat = rs.hat(focus)
         cand = bits.candidates(rs, ahat)
-        span = set(rs.component_of_node(focus))
-        restrict = {
-            k
-            for k, v in enumerate(bits.elements)
-            if all(v[j] == 0 or j in span for j in range(rs.rank))
-        }
-        cand_comp = bits.candidates(rs, ahat, restrict=restrict)
+        span = rs.component_of_node(focus)
+        cand_comp = cand & bits.support[span]
         for letters in product((U, D), repeat=p - 1):
             lab = Labeling.from_prefix(order, letters + (D,))
             checked += 1

@@ -210,6 +210,12 @@ class RootSystem:
         self._root_set = frozenset(self.positive_roots) | frozenset(
             _vneg(v) for v in self.positive_roots
         )
+        # fixed for the life of the system, so computed once: each node's hat and
+        # the largest root coefficient
+        self._hats: tuple[Vector, ...] = tuple(
+            d if (d := tuple(2 * x for x in a)) in self._root_set else a for a in self.simple
+        )
+        self._max_coefficient = max(max(v) for v in self.positive_roots)
         self.zero: Vector = tuple(0 for _ in range(self.rank))
         # roots and zero: a set for membership, sorted once for iteration
         self._element_set = self._root_set | {self.zero}
@@ -259,15 +265,10 @@ class RootSystem:
     def hat(self, alpha) -> Vector:
         """The doubled representative: 2a if 2a is a root, else a itself."""
         if isinstance(alpha, int):
-            i = alpha
-            if not 0 <= i < self.rank:
-                raise NotSimpleRoot(f"index {i} out of range")
-            v = self.simple[i]
-        else:
-            v = tuple(alpha)
-            self.simple_index(v)
-        double = tuple(2 * x for x in v)
-        return double if double in self._root_set else v
+            if not 0 <= alpha < self.rank:
+                raise NotSimpleRoot(f"index {alpha} out of range")
+            return self._hats[alpha]
+        return self._hats[self.simple_index(alpha)]
 
     def adjacent(self, i: int, j: int) -> bool:
         """Diagram adjacency: the sum of two simple roots is a root iff joined."""
@@ -303,7 +304,8 @@ class RootSystem:
         return sum(self.multiplicity(v) for v in self.column_roots(i))
 
     def max_coefficient(self) -> int:
-        return max(max(v) for v in self.positive_roots)
+        """The largest coefficient of any root over the simple roots."""
+        return self._max_coefficient
 
     # serialization ----------------------------------------------------------
 

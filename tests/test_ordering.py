@@ -12,7 +12,8 @@ from obstructor import (
     exhaustive_verify,
     verify_witness,
 )
-from obstructor.ordering import WitnessReport, _positive_multiple_of_node
+from obstructor.cli import ACCEPTANCE_TYPES
+from obstructor.ordering import WitnessReport, _BitIndex, _positive_multiple_of_node
 
 GRID = (
     [("A", n) for n in range(1, 9)]
@@ -237,3 +238,72 @@ def test_wrong_order_is_detected():
     with _pytest.raises(ExhaustiveCheckFailure) as exc:
         exhaustive_verify(rs, order=(0, 1))
     assert exc.value.labeling.focus == 1
+
+
+def _reference_bits(rs):
+    """The forbidden sets probed per (element, node, step), and the support masks by scan."""
+    tmax = 2 * rs.max_coefficient()
+    elements = rs.roots | {rs.zero}
+    bad_down, bad_up = [0] * rs.rank, [0] * rs.rank
+    for k, v in enumerate(rs.elements):
+        for j in range(rs.rank):
+            for t in range(1, tmax + 1):
+                down = list(v)
+                down[j] -= t
+                if tuple(down) in elements:
+                    bad_down[j] |= 1 << k
+                    break
+            for t in range(1, tmax + 1):
+                up = list(v)
+                up[j] += t
+                if tuple(up) in elements:
+                    bad_up[j] |= 1 << k
+                    break
+    support = {
+        span: sum(
+            1 << k
+            for k, v in enumerate(rs.elements)
+            if all(v[j] == 0 or j in span for j in range(rs.rank))
+        )
+        for span in rs.component_nodes
+    }
+    return bad_down, bad_up, support
+
+
+def _reference_candidates(rs, ahat):
+    return sum(
+        1 << k
+        for k, v in enumerate(rs.elements)
+        if rs.is_element(tuple(x + a for x, a in zip(v, ahat)))
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", ACCEPTANCE_TYPES + [[("A", 2), ("BC", 2)], [("A", 1), ("BC", 1), ("G2", 2)]], ids=str
+)
+def test_bit_index_matches_per_step_probe(spec):
+    rs = build_root_system(spec)
+    bits = _BitIndex(rs)
+    bad_down, bad_up, support = _reference_bits(rs)
+    assert bits.bad_down == bad_down
+    assert bits.bad_up == bad_up
+    assert bits.support == support
+    for i in range(rs.rank):
+        assert bits.candidates(rs, rs.hat(i)) == _reference_candidates(rs, rs.hat(i)), i
+
+
+@pytest.mark.parametrize(
+    "spec", [("D", 4), ("F4", 4), ("BC", 3), [("A", 1), ("BC", 1), ("G2", 2)]], ids=str
+)
+def test_verify_witness_matches_reference_on_wider_systems(spec):
+    # every labeling, every sigma among the roots-with-zero, mu = sigma +
+    # hat(focus) or a wrong difference; then sigma far outside the roots,
+    # where phi can lie more than 2M below or above sigma
+    rs = build_root_system(spec)
+    elements = sorted(rs.roots | {rs.zero})
+    for lab in all_labelings(rs):
+        ahat = rs.hat(lab.focus)
+        for sigma in elements + [tuple(3 * x for x in v) for v in elements]:
+            for mu in (tuple(s + a for s, a in zip(sigma, ahat)), sigma):
+                w = Witness(sigma, mu)
+                assert verify_witness(rs, lab, w) == _reference_verify(rs, lab, w), (lab, w)

@@ -284,3 +284,24 @@ def test_json_schema_and_flag():
     assert set(data["multiplicity"].values()) == {1}
     assert "nonstandard_rank" not in data
     assert build_root_system(("B", 2)).to_json()["nonstandard_rank"] is True
+
+
+@pytest.mark.parametrize(
+    "spec", ALL_TYPES + [[("A", 2), ("BC", 2)], [("A", 1), ("BC", 1), ("G2", 2)]], ids=str
+)
+def test_hat_and_max_coefficient_match_their_definitions(spec):
+    rs = build_root_system(spec)
+    # multiplicities change neither field
+    weighted = build_root_system(spec, multiplicities={rs.positive_roots[-1]: 3})
+    for system in (rs, weighted):
+        for i, a in enumerate(system.simple):
+            double = tuple(2 * x for x in a)
+            expect = double if double in system.roots else a
+            assert system.hat(i) == system.hat(a) == expect
+        assert system.max_coefficient() == max(x for v in system.positive_roots for x in v)
+        with pytest.raises(NotSimpleRoot):
+            system.hat(system.rank)
+        with pytest.raises(NotSimpleRoot):
+            system.hat(-1)
+        with pytest.raises(NotSimpleRoot):
+            system.hat(tuple(2 * x for x in system.simple[0]))
