@@ -1,14 +1,14 @@
 """Simplicial complexes: arrow complexes, signed doubles, joins, homology.
 
 Complexes are stored by their maximal simplices (facets) over hashable
-vertex labels.  Full face enumeration happens only inside the homology
-routine, so large complexes stay cheap to build and join.
+vertex labels.  Faces are enumerated in one place, `SimplicialComplex.faces`,
+and only on demand, so large complexes stay cheap to build and join.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import gcd
 
 
@@ -19,21 +19,21 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, facets, vertices=None, assume_maximal=False) -> "SimplicialComplex":
-        distinct = list(dict.fromkeys(frozenset(f) for f in facets))
+        """Vertices sorted by repr unless given, facets by their sorted vertex reprs;
+        the empty set is no simplex and is dropped."""
+        distinct = list(dict.fromkeys(filter(None, map(frozenset, facets))))
         if assume_maximal:
             keep = distinct
         else:
             keep = [f for f in distinct if not any(f < g for g in distinct)]
-        vs = set()
-        for f in keep:
-            vs |= f
+        key = {v: repr(v) for v in set().union(*keep)}
         if vertices is not None:
             vertices = tuple(vertices)
-            if not vs <= set(vertices):
+            if not key.keys() <= set(vertices):
                 raise ValueError("facet vertex outside the vertex set")
         else:
-            vertices = tuple(sorted(vs, key=repr))
-        return cls(vertices=vertices, facets=tuple(sorted(keep, key=lambda s: sorted(map(repr, s)))))
+            vertices = tuple(sorted(key, key=key.get))
+        return cls(vertices=vertices, facets=tuple(sorted(keep, key=lambda s: sorted(map(key.get, s)))))
 
     @property
     def dim(self) -> int:
@@ -43,20 +43,26 @@ class SimplicialComplex:
         s = frozenset(s)
         return any(s <= f for f in self.facets)
 
-    def simplices(self):
-        """All nonempty simplices (materializes the closure; small complexes only)."""
-        seen: set[frozenset] = set()
+    def faces(self) -> list[list[tuple[int, ...]]]:
+        """For k = 0..dim, the sorted k-simplices as sorted tuples of vertex positions.
+
+        Each facet enters its own layer; then, top down, every k-simplex puts
+        its k+1 faces (the tuple without slot d) into layer k-1.
+        """
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        layers = [set() for _ in range(self.dim + 1)]
         for f in self.facets:
-            for k in range(1, len(f) + 1):
-                for c in combinations(f, k):
-                    seen.add(frozenset(c))
-        return seen
+            layers[len(f) - 1].add(tuple(sorted(pos[v] for v in f)))
+        for k in range(self.dim, 0, -1):
+            layers[k - 1].update(s[:d] + s[d + 1:] for s in layers[k] for d in range(k + 1))
+        return [sorted(layer) for layer in layers]
+
+    def simplices(self) -> set[frozenset]:
+        """All nonempty simplices as vertex sets (materializes the closure)."""
+        return {frozenset(map(self.vertices.__getitem__, s)) for layer in self.faces() for s in layer}
 
     def f_vector(self) -> tuple[int, ...]:
-        counts: dict[int, int] = {}
-        for s in self.simplices():
-            counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
-        return tuple(counts.get(k, 0) for k in range(self.dim + 1))
+        return tuple(map(len, self.faces()))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.f_vector()))
@@ -148,9 +154,8 @@ def signed_double(x: SimplicialComplex) -> SimplicialComplex:
     """Double every vertex with a sign; simplices are the sign-injective lifts."""
     facets = []
     for f in x.facets:
-        f = sorted(f, key=repr)
         for signs in product((1, -1), repeat=len(f)):
-            facets.append(frozenset((v, s) for v, s in zip(f, signs)))
+            facets.append(frozenset(zip(f, signs)))
     vertices = tuple((v, s) for v in x.vertices for s in (1, -1))
     return SimplicialComplex.from_facets(facets, vertices=vertices, assume_maximal=True)
 
@@ -167,7 +172,9 @@ def obstructor_subcomplex(n: int) -> SimplicialComplex:
     (k-2)-sphere (all sign choices) and the extra vertex ((k, k-1), +) is
     its added point; the whole complex is the join of these sphere-plus-point
     pieces.  Every facet is an acyclic signed arrow set, hence a simplex of
-    the signed double.
+    the signed double: a cycle needs a downward arrow k -> k-1, present only
+    when column k picks its point, and then the only arrow into k is
+    k+1 -> k from column k+1's point, and so on up to a node with none.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -179,12 +186,7 @@ def obstructor_subcomplex(n: int) -> SimplicialComplex:
         ]
         point = frozenset({((k, k - 1), 1)})
         factor_choices.append(sphere + [point])
-    facets = []
-    for picks in product(*factor_choices):
-        fac = frozenset().union(*picks)
-        if not is_acyclic({pos for pos, _ in fac}):
-            raise AssertionError("column join facet is not acyclic")
-        facets.append(fac)
+    facets = [frozenset().union(*picks) for picks in product(*factor_choices)]
     vertices = []
     for k in range(2, n + 1):
         vertices.extend(((i, k), s) for i in range(1, k) for s in (1, -1))
@@ -218,9 +220,10 @@ def expected_column_join(n: int) -> SimplicialComplex:
 
 def is_isomorphic_via(x: SimplicialComplex, y: SimplicialComplex, f) -> bool:
     """Does the explicit vertex map f carry x's facets exactly onto y's?"""
-    if sorted(map(repr, (f(v) for v in x.vertices))) != sorted(map(repr, y.vertices)):
+    image = {v: f(v) for v in x.vertices}
+    if sorted(map(repr, image.values())) != sorted(map(repr, y.vertices)):
         return False
-    mapped = {frozenset(f(v) for v in fac) for fac in x.facets}
+    mapped = {frozenset(map(image.get, fac)) for fac in x.facets}
     return mapped == set(y.facets)
 
 
@@ -266,22 +269,16 @@ def exact_rank(rows: list[list[int]]) -> int:
 def betti_numbers(x: SimplicialComplex) -> tuple[int, ...]:
     """Rational Betti numbers from sparse boundary columns, with clearing.
 
-    A k-simplex is the sorted tuple of its vertices' positions; column j of d_k
-    is {index of the j-th k-simplex without slot d: (-1)**d}.  Ranks go top
-    down, skipping each column of d_k whose index is the lead row i of a pivot
-    of d_(k+1) (clearing; Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014).
-    That pivot is a boundary, so a cycle c*e_i + sum_{l>i} c_l*e_l with c != 0:
-    column i of d_k is in the span of the columns l > i, and by descending
-    induction on i every skipped column is in the span of the kept ones.
+    Over x.faces(), column j of d_k is {index of the j-th k-simplex without
+    slot d: (-1)**d}.  Ranks go top down, skipping each column of d_k whose
+    index is the lead row i of a pivot of d_(k+1) (clearing; Chen-Kerber
+    2011, Bauer-Kerber-Reininghaus 2014).  That pivot is a boundary, so a
+    cycle c*e_i + sum_{l>i} c_l*e_l with c != 0: column i of d_k is in the
+    span of the columns l > i, and by descending induction on i every
+    skipped column is in the span of the kept ones.
     """
-    top = x.dim
-    pos = {v: i for i, v in enumerate(x.vertices)}
-    layers = [set() for _ in range(top + 1)]
-    for f in x.facets:
-        layers[len(f) - 1].add(tuple(sorted(pos[v] for v in f)))
-    for k in range(top, 0, -1):
-        layers[k - 1].update(s[:d] + s[d + 1:] for s in layers[k] for d in range(k + 1))
-    layers = [sorted(layer) for layer in layers]
+    layers = x.faces()
+    top = len(layers) - 1
     ranks = [0] * (top + 2)
     cleared = {}
     for k in range(top, 0, -1):

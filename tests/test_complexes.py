@@ -158,9 +158,23 @@ def test_obstructor_subcomplex_sits_inside_signed_double(n):
 
 
 def test_obstructor_subcomplex_facets_are_acyclic_all_n():
-    for n in (5, 6):
+    for n in range(2, 7):
         for f in obstructor_subcomplex(n).facets:
             assert is_acyclic([pos for pos, _ in f])
+
+
+def test_empty_facet_is_dropped():
+    for x in (
+        SimplicialComplex.from_facets([set()]),
+        SimplicialComplex.from_facets([set()], assume_maximal=True),
+    ):
+        assert x.facets == () and x.dim == -1
+        assert x.faces() == [] and x.f_vector() == () and betti_numbers(x) == ()
+    for assume_maximal in (False, True):
+        x = SimplicialComplex.from_facets([set(), {"a"}], assume_maximal=assume_maximal)
+        assert x.facets == (frozenset({"a"}),)
+        assert x.f_vector() == (1,) and betti_numbers(x) == (1,)
+        assert x.euler_characteristic() == 1
 
 
 def test_obstructor_m_examples():
@@ -357,12 +371,16 @@ def test_arrow_complex_betti_euler_characteristic():
 # ---------------------------------------------------------------------------
 # homology of random complexes against dense boundary matrices
 
+def reference_closure(x):
+    """The closure as frozensets, by every combination of every facet."""
+    return {frozenset(c) for f in x.facets for k in range(1, len(f) + 1) for c in combinations(f, k)}
+
+
 def dense_betti(x):
     """Reference Betti numbers: the closure as frozensets sorted by repr,
     dense boundary rows, and ranks by fraction_rank."""
-    closure = {frozenset(c) for f in x.facets for k in range(1, len(f) + 1) for c in combinations(f, k)}
     by_dim = {}
-    for s in closure:
+    for s in reference_closure(x):
         by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s, key=repr)))
     if not by_dim:
         return ()
@@ -401,6 +419,27 @@ def small_complexes(draw, max_vertices=7):
 
 
 HOMOLOGY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@HOMOLOGY
+@given(small_complexes())
+def test_faces_match_the_combinations_closure(x):
+    closure = reference_closure(x)
+    pos = {v: i for i, v in enumerate(x.vertices)}
+    expected = [sorted(tuple(sorted(pos[v] for v in s)) for s in closure if len(s) == k + 1)
+                for k in range(x.dim + 1)]
+    assert x.faces() == expected
+    assert x.simplices() == closure
+    assert x.f_vector() == tuple(map(len, expected))
+
+
+@HOMOLOGY
+@given(st.lists(st.sets(st.sampled_from(LABELS), max_size=4), max_size=8), st.booleans())
+def test_from_facets_order_matches_the_repr_keys(facets, assume_maximal):
+    x = SimplicialComplex.from_facets(facets, assume_maximal=assume_maximal)
+    assert x.vertices == tuple(sorted(set().union(*facets), key=repr))
+    assert list(x.facets) == sorted(x.facets, key=lambda s: sorted(map(repr, s)))
+    assert frozenset() not in x.facets
 
 
 @HOMOLOGY
