@@ -94,18 +94,19 @@ class ConeMap:
     def __call__(self, point: ConePoint) -> ExactMatrix:
         return self._evaluate(point)
 
-    def polynomial(self, simplex, int_weights, total) -> tuple[list[IntRows], int]:
-        """(coeffs, den) with den * image(t) = sum_k coeffs[k] t^k, from the hook.
+    def polynomial(self, simplex, int_weights, total) -> tuple[tuple[IntRows, ...], int] | None:
+        """(ys, den) with den * image(t) = den I + sum_k ys[k-1] t^k, or None without a hook.
 
-        Weights are int_weights / total.  The hook validates the simplex
-        and returns the integer matrix coefficients of the ray; all-zero top
-        coefficients, such as N_U N_L on split domains, are dropped here.
+        Weights are int_weights / total.  The hook validates the simplex and
+        returns the integer matrix coefficients of t, t^2, ... in Y(t); all-zero
+        top coefficients, such as N_U N_L on split domains, are dropped here.
         """
-        coeffs, den = self._scaled(simplex, int_weights, total)
-        coeffs = list(coeffs)
-        while len(coeffs) > 1 and not any(chain.from_iterable(coeffs[-1])):
-            coeffs.pop()
-        return coeffs, den
+        if self._scaled is None:
+            return None
+        ys, den = self._scaled(simplex, int_weights, total)
+        while ys and not any(chain.from_iterable(ys[-1])):
+            ys = ys[:-1]
+        return ys, den
 
     def scaled(self, simplex, int_weights, total, radii) -> list[tuple[IntRows, int]]:
         """(den * image, den) of the ray at each integer radius in `radii`.
@@ -115,21 +116,19 @@ class ConeMap:
         radius.  Without a hook each radius is evaluated exactly and scaled
         to integers.
         """
-        if self._scaled is None:
+        poly = self.polynomial(simplex, int_weights, total)
+        if poly is None:
             ws = tuple(Fraction(a, total) for a in int_weights)
-            return [
-                self._evaluate(ConePoint(tuple(simplex), ws, Fraction(t))).scaled_int()
-                for t in radii
-            ]
-        coeffs, den = self.polynomial(simplex, int_weights, total)
-        n = len(coeffs[0])
-        head, *tail = [tuple(chain.from_iterable(c)) for c in coeffs]
+            return [self._evaluate(ConePoint(tuple(simplex), ws, Fraction(t))).scaled_int() for t in radii]
+        ys, den = poly
+        n = self.size
+        head = [den if i % (n + 1) == 0 else 0 for i in range(n * n)]  # den I, flat
+        tail = [tuple(chain.from_iterable(y)) for y in ys]
         out = []
         for t in radii:
-            flat, tk = head, 1
-            for c in tail:
-                tk *= t
-                flat = map(add, flat, map(mul, c, repeat(tk)))
+            flat = head
+            for k, c in enumerate(tail, 1):
+                flat = map(add, flat, map(mul, c, repeat(t ** k)))
             flat = tuple(flat)
             out.append((tuple(flat[i:i + n] for i in range(0, n * n, n)), den))
         return out
@@ -165,9 +164,9 @@ def heisenberg_domain(n: int) -> SimplicialComplex:
     return SimplicialComplex.from_facets(facets, assume_maximal=True)
 
 
-def _int_matrix(n: int, entries: dict, diagonal: int = 0) -> IntRows:
+def _int_matrix(n: int, entries: dict) -> IntRows:
     """The integer n x n matrix with `entries` at 1-based positions."""
-    rows = [[diagonal if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for (i, j), v in entries.items():
         rows[i - 1][j - 1] = v
     return tuple(map(tuple, rows))
@@ -185,7 +184,7 @@ def heisenberg_map(n: int) -> ConeMap:
         # total * image(t) = total I + t N
         _check_positions(n, simplex, above_only=True)
         entries = {pos: s * a for (pos, s), a in zip(simplex, int_weights)}
-        return (_int_matrix(n, {}, total), _int_matrix(n, entries)), total
+        return (_int_matrix(n, entries),), total
 
     return ConeMap(f"heisenberg(n={n})", heisenberg_domain(n), n, evaluate, scaled)
 
@@ -215,12 +214,12 @@ def split_map(n: int) -> ConeMap:
         # N_U and N_L have disjoint supports
         upper, lower = _split_parts(n, simplex, int_weights, 1)
         mid = {pos: total * v for pos, v in chain(upper.items(), lower.items())}
-        coeffs = (_int_matrix(n, {}, total * total), _int_matrix(n, mid))
+        ys = (_int_matrix(n, mid),)
         # N_U N_L is zero unless an upper column index meets a lower row
         # index, as on no simplex of the split domains
         if {j for _, j in upper} & {i for i, _ in lower}:
-            coeffs += (int_matmul(_int_matrix(n, upper), _int_matrix(n, lower)),)
-        return coeffs, total * total
+            ys += (int_matmul(_int_matrix(n, upper), _int_matrix(n, lower)),)
+        return ys, total * total
 
     return ConeMap(f"split(n={n})", obstructor_subcomplex(n), n, evaluate, scaled)
 
@@ -376,25 +375,23 @@ def _ray_stats(cone_map: ConeMap, simplex, weights, radii) -> list[tuple[int, in
     """_ray_stat of one sampled ray at each radius.
 
     A map without a `scaled` hook takes _prep at every radius.  With one,
-    the hook's polynomial den * image(t) = den I + Y(t) is read once: Y must
-    be nilpotent, which gives det 1 at every t and the adjugate as a
-    polynomial too, and each radius then evaluates only the entries of
-    den^(n-2) m(t) and adj(t) that can attain the maximum.
+    its polynomial den I + Y(t) is read once: a nilpotent Y gives det 1 at
+    every t and the adjugate as a polynomial too, and each radius evaluates
+    only the entries of den^(n-2) m(t) and adj(t) that can attain the maximum.
     """
-    if cone_map._scaled is None:
+    poly = cone_map.polynomial(simplex, weights, WEIGHT_TOTAL)
+    if poly is None:
         images = cone_map.scaled(simplex, weights, WEIGHT_TOTAL, radii)
         return [_ray_stat(_prep(cone_map, simplex, m, den)) for m, den in images]
-    coeffs, den = cone_map.polynomial(simplex, weights, WEIGHT_TOTAL)
-    n = len(coeffs[0])
-    adj = unipotent_adjugate(n, coeffs[1:], den) if coeffs[0] == _int_matrix(n, {}, den) else None
+    ys, den = poly
+    n = cone_map.size
+    adj = unipotent_adjugate(n, ys, den)
     if adj is None:
-        raise ValueError(
-            f"{cone_map.name}: the hook's image over {simplex} is not den*I plus a nilpotent "
-            "polynomial in t, so it is not certified to have determinant 1"
-        )
-    scale = den ** (n - 2)
-    m = [tuple(map(mul, chain.from_iterable(c), repeat(scale))) for c in coeffs]
+        raise ValueError(f"{cone_map.name}: the hook's Y(t) over {simplex} is not nilpotent, so "
+                         "den*I + Y(t) is not certified to have determinant 1")
     denpow = den ** (n - 1)
+    m = [[denpow if i % (n + 1) == 0 else 0 for i in range(n * n)]]  # den^(n-1) I, flat
+    m += [tuple(map(mul, chain.from_iterable(y), repeat(den ** (n - 2)))) for y in ys]
     return [(b, denpow) for b in int_poly_max_abs(chain(zip(*m), zip(*adj)), denpow, radii)]
 
 
@@ -549,14 +546,18 @@ class SuiteReport:
 
 
 def _check_radii(radii) -> None:
-    """Refuse a negative radius up front, as ConePoint does, for every map."""
+    """Refuse an empty schedule, and a negative radius as ConePoint does, for every map."""
+    if not radii:
+        raise ValueError("the radius schedule is empty")
     if any(t < 0 for t in radii):
         raise ValueError("radius must be nonnegative")
 
 
 def _simplices_sorted(domain: SimplicialComplex):
-    ordered = sorted(domain.simplices(), key=lambda s: (len(s), sorted(map(repr, s))))
-    return [tuple(sorted(s)) for s in ordered]
+    """Every simplex as a sorted vertex tuple, by size, then by its sorted vertex reprs."""
+    verts, reprs = domain.vertices, [repr(v) for v in domain.vertices]
+    return [tuple(sorted(map(verts.__getitem__, s))) for layer in domain.faces()
+            for s in sorted(layer, key=lambda s: sorted(map(reprs.__getitem__, s)))]
 
 
 def divergence_test(
@@ -676,9 +677,8 @@ def properness_test(
     The monotone check depends on the sampling seed: at seeds 3, 4 and 8,
     eight facet rays of heisenberg_map(4) and of split_map(4) FAIL as
     non-monotone although each grows by more than e^35 over the schedule.
-    Images must have determinant 1, and a map's `scaled` hook must give
-    den * image(t) as den I plus a nilpotent polynomial in t, checked once
-    per ray (ValueError otherwise).
+    Images must have determinant 1, and a hook's Y(t) must be nilpotent,
+    checked once per ray (ValueError otherwise).
     """
     t0 = time.perf_counter()
     radii = tuple(radii) if radii is not None else default_radii()

@@ -349,9 +349,13 @@ class _BitIndex:
     Bit k of ``bad_down[j]`` (``bad_up[j]``) is set when element k can step
     down (up) along e_j to another element, that is, when another element on
     its line through e_j (equal to it off coordinate j) has a smaller (larger)
-    j-th coordinate.  Both come from each line's minimum and maximum, in
-    O(|elements| * rank).  ``support[span]`` marks the elements supported on
-    the diagram component with node indices ``span``.
+    j-th coordinate; of ``candidates[j]``, when element k plus hat(j) = h e_j
+    is an element, that is, when its j-th coordinate plus h is at most the
+    line's maximum.  Lines are unbroken: the one through 0 is {c alpha_j},
+    |c| <= 1 or 2, and any other is an alpha_j root string (Bourbaki, Lie
+    Groups and Lie Algebras VI 1.3, Prop. 9; Humphreys 9.4).  All three come
+    from each line's minimum and maximum, in O(|elements| * rank).
+    ``support[span]`` marks the elements supported on the component ``span``.
     """
 
     def __init__(self, rs: RootSystem):
@@ -359,7 +363,9 @@ class _BitIndex:
         n = rs.rank
         self.bad_down = [0] * n
         self.bad_up = [0] * n
+        self.candidates = [0] * n
         for j in range(n):
+            h = rs.hat(j)[j]
             lines = [v[:j] + v[j + 1 :] for v in self.elements]
             lo: dict[Vector, int] = {}
             hi: dict[Vector, int] = {}
@@ -371,6 +377,8 @@ class _BitIndex:
                     self.bad_down[j] |= 1 << k
                 if v[j] < hi[line]:
                     self.bad_up[j] |= 1 << k
+                if v[j] + h <= hi[line]:
+                    self.candidates[j] |= 1 << k
         self.support: dict[tuple[int, ...], int] = {}
         for span in rs.component_nodes:
             outside = [j for j in range(n) if j not in span]
@@ -379,14 +387,6 @@ class _BitIndex:
                 for k, v in enumerate(self.elements)
                 if all(v[j] == 0 for j in outside)
             )
-
-    def candidates(self, rs: RootSystem, ahat: Vector) -> int:
-        """The elements sigma with sigma + ahat also an element."""
-        mask = 0
-        for k, v in enumerate(self.elements):
-            if _vadd(v, ahat) in rs._element_set:
-                mask |= 1 << k
-        return mask
 
 
 def exhaustive_verify(
@@ -410,8 +410,7 @@ def exhaustive_verify(
     checked = witnessed = witnessed_comp = 0
     for p in range(1, rs.rank + 1):
         focus = order[p - 1]
-        ahat = rs.hat(focus)
-        cand = bits.candidates(rs, ahat)
+        cand = bits.candidates[focus]
         span = rs.component_of_node(focus)
         cand_comp = cand & bits.support[span]
         for letters in product((U, D), repeat=p - 1):
@@ -424,7 +423,7 @@ def exhaustive_verify(
             if good:
                 k = (good & -good).bit_length() - 1
                 sigma = bits.elements[k]
-                w = Witness(sigma=sigma, mu=_vadd(sigma, ahat))
+                w = Witness(sigma=sigma, mu=_vadd(sigma, rs.hat(focus)))
                 if not verify_witness(rs, lab, w).ok:
                     raise ExhaustiveCheckFailure(lab)
                 witnessed += 1

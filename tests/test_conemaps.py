@@ -24,6 +24,7 @@ from obstructor import (
     exp_nilpotent,
     fibration_compose,
     heisenberg_map,
+    obstructor_subcomplex,
     properness_test,
     size,
     split_growth_experiment,
@@ -140,8 +141,8 @@ def test_scaled_path_matches_exact_path():
     # drops that all-zero term; <23+,31+> has one, which must be kept
     for n in (3, 4):
         off_domain = (((2, 3), 1), ((3, 1), 1))
-        coeffs, _ = split_map(n)._scaled(off_domain, (20, 40), WEIGHT_TOTAL)
-        assert any(chain.from_iterable(coeffs[2]))
+        ys, _ = split_map(n)._scaled(off_domain, (20, 40), WEIGHT_TOTAL)
+        assert any(chain.from_iterable(ys[1]))
         _assert_scaled_matches_exact(split_map(n), off_domain, (20, 40), ORACLE_RADII)
 
 
@@ -208,8 +209,8 @@ def test_ray_stats_from_the_polynomial_match_prep_at_every_radius(ray):
 def test_ray_stats_see_the_t2_term_off_the_domain():
     for n in (3, 4):
         cm = HOOK_MAPS["split_map", n]
-        coeffs, _ = cm.polynomial(OFF_DOMAIN, (20, 40), WEIGHT_TOTAL)
-        assert len(coeffs) == 3 and any(chain.from_iterable(coeffs[2]))
+        ys, _ = cm.polynomial(OFF_DOMAIN, (20, 40), WEIGHT_TOTAL)
+        assert len(ys) == 2 and any(chain.from_iterable(ys[1]))
         radii = (0, 1, 7, 2 ** 20)
         images = cm.scaled(OFF_DOMAIN, (20, 40), WEIGHT_TOTAL, radii)
         assert _ray_stats(cm, OFF_DOMAIN, (20, 40), radii) == [
@@ -223,15 +224,11 @@ def _hooked(hook):
 
 
 @pytest.mark.parametrize("hook", [
-    # constant term den*I plus a nilpotent: det 1, but not the hook contract
-    lambda s, w, total: ((((total, 1), (0, total)), ((0, 1), (0, 0))), total),
-    # constant term 2 den*I
-    lambda s, w, total: ((((2 * total, 0), (0, 2 * total)), ((0, 1), (0, 0))), total),
     # Y = t diag(1, -1), not nilpotent
-    lambda s, w, total: ((((total, 0), (0, total)), ((1, 0), (0, -1))), total),
+    lambda s, w, total: ((((1, 0), (0, -1)),), total),
     # Y = t (0, total; 1, 0) + t^2 (1, 0; 0, 0): det 1 at every t, yet Y(t)
     # has trace t^2, so the image is not unipotent
-    lambda s, w, total: ((((total, 0), (0, total)), ((0, total), (1, 0)), ((1, 0), (0, 0))), total),
+    lambda s, w, total: ((((0, total), (1, 0)), ((1, 0), (0, 0))), total),
 ])
 def test_hooks_outside_the_contract_are_refused(hook):
     with pytest.raises(ValueError, match="determinant 1"):
@@ -240,8 +237,18 @@ def test_hooks_outside_the_contract_are_refused(hook):
 
 def test_a_unipotent_hook_is_accepted():
     # Y = t N with N nilpotent: the same hook shape as heisenberg_map(2)
-    hook = lambda s, w, total: ((((total, 0), (0, total)), ((0, w[0]), (0, 0))), total)  # noqa: E731
+    hook = lambda s, w, total: ((((0, w[0]), (0, 0)),), total)  # noqa: E731
     assert properness_test(_hooked(hook), radii=(1, 2 ** 20), samples=1).all_passed
+
+
+def test_an_old_format_hook_is_refused_by_both_suites():
+    # a hook that still returns den*I as its first matrix reads as
+    # Y(t) = t den I + t^2 N: not nilpotent, and det(den I + Y(1)) = (2 den)^n
+    hook = lambda s, w, total: ((((total, 0), (0, total)), ((0, w[0]), (0, 0))), total)  # noqa: E731
+    with pytest.raises(ValueError, match="determinant 1"):
+        properness_test(_hooked(hook), radii=(1, 2 ** 20), samples=1)
+    with pytest.raises(ValueError, match="determinant 1"):
+        divergence_suite(_hooked(hook), samples=1)
 
 
 @pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
@@ -253,6 +260,13 @@ def test_negative_radii_are_refused_for_every_map(builder):
         divergence_suite(cm, radii=(-1, 2 ** 20))
     with pytest.raises(ValueError, match="radius must be nonnegative"):
         divergence_test(cm, (((1, 2), 1),), (((1, 2), -1),), radii=(-1, 2 ** 20))
+    # an empty schedule has no first or last radius to compare
+    with pytest.raises(ValueError, match="radius schedule is empty"):
+        properness_test(cm, radii=())
+    with pytest.raises(ValueError, match="radius schedule is empty"):
+        divergence_suite(cm, radii=())
+    with pytest.raises(ValueError, match="radius schedule is empty"):
+        divergence_test(cm, (((1, 2), 1),), (((1, 2), -1),), radii=())
 
 
 def test_scaled_validates_the_simplex():
@@ -264,6 +278,23 @@ def test_scaled_validates_the_simplex():
     for cm in (h, m):
         with pytest.raises(BadSimplex):
             cm.scaled((((1, 2), 1), ((1, 2), -1)), (30, 30), WEIGHT_TOTAL, (1,))
+
+
+ORDER_DOMAINS = {
+    **{f"heisenberg_domain({n})": heisenberg_domain(n) for n in (2, 3, 4)},
+    **{f"obstructor_subcomplex({n})": obstructor_subcomplex(n) for n in (2, 3, 4)},
+    "fibration(heisenberg(3),split(3))": fibration_compose(
+        heisenberg_map(3), split_map(3), section=lambda g: g, embed=lambda g: g).domain,
+}
+
+
+@pytest.mark.parametrize("name", ORDER_DOMAINS)
+def test_simplices_sorted_keeps_the_order_by_size_and_vertex_reprs(name):
+    domain = ORDER_DOMAINS[name]
+    # the order the suites report in: by size, then by the sorted reprs of
+    # the vertices, read off the frozenset closure
+    ordered = sorted(domain.simplices(), key=lambda s: (len(s), sorted(map(repr, s))))
+    assert _simplices_sorted(domain) == [tuple(sorted(s)) for s in ordered]
 
 
 def test_sample_weight_vectors_is_memoized_and_still_refuses():

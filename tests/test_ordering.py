@@ -289,7 +289,7 @@ def test_bit_index_matches_per_step_probe(spec):
     assert bits.bad_up == bad_up
     assert bits.support == support
     for i in range(rs.rank):
-        assert bits.candidates(rs, rs.hat(i)) == _reference_candidates(rs, rs.hat(i)), i
+        assert bits.candidates[i] == _reference_candidates(rs, rs.hat(i)), i
 
 
 @pytest.mark.parametrize(
