@@ -45,6 +45,8 @@ class GroupSpec:
             raise ValueError("need n >= 2")
         if self.kind in ("sp_z", "sp_o") and self.n < 1:
             raise ValueError("need n >= 1")
+        if self.kind in ("sl_z", "sp_z") and self.places is not None:
+            raise ValueError("Z has one real place; give no place counts")
         if self.kind in ("sl_o", "sp_o"):
             if self.places is None or sum(self.places) < 1 or min(self.places) < 0:
                 raise ValueError("need place counts with r + s >= 1")
@@ -57,17 +59,13 @@ class GroupSpec:
                 raise ValueError("a single hyperbolic plane carries no root data")
 
     def label(self) -> str:
-        if self.kind == "sl_z":
-            return f"SL_{self.n}(Z)"
-        if self.kind == "sl_o":
-            r, s = self.places
-            return f"SL_{self.n}(O[r={r},s={s}])"
-        if self.kind == "sp_z":
-            return f"Sp_{2 * self.n}(Z)"
-        if self.kind == "sp_o":
-            r, s = self.places
-            return f"Sp_{2 * self.n}(O[r={r},s={s}])"
-        return f"SO(Q)[n={self.ambient},q={self.witt},dim_XM={self.dim_xm}]"
+        if self.kind == "so_q":
+            return f"SO(Q)[n={self.ambient},q={self.witt},dim_XM={self.dim_xm}]"
+        group = f"SL_{self.n}" if self.kind.startswith("sl") else f"Sp_{2 * self.n}"
+        if self.places is None:
+            return f"{group}(Z)"
+        r, s = self.places
+        return f"{group}(O[r={r},s={s}])"
 
 
 @dataclass
@@ -102,29 +100,25 @@ def _require_xm(spec: GroupSpec) -> int:
 
 
 def dim_symmetric(spec: GroupSpec) -> int:
-    """Dimension of the symmetric space, via the standard decompositions."""
+    """Dimension of the symmetric space, via the standard decompositions.
+
+    Z is the ring with one real place, so the _z kinds read (r, s) = (1, 0).
+    """
     n = spec.n
-    if spec.kind == "sl_z":
-        return n * (n + 1) // 2 - 1
-    if spec.kind == "sl_o":
-        r, s = spec.places
+    if spec.kind == "so_q":
+        q, nn = spec.witt, spec.ambient
+        return q * (q - 1) + q * (nn - 2 * q) + _require_xm(spec) + q
+    r, s = spec.places or (1, 0)
+    if spec.kind in ("sl_z", "sl_o"):
         return r * (n * (n + 1) // 2 - 1) + s * (n * n - 1)
-    if spec.kind == "sp_z":
-        return n * n + n
-    if spec.kind == "sp_o":
-        r, s = spec.places
-        return r * (n * n + n) + s * (2 * n * n + n)
-    q, nn = spec.witt, spec.ambient
-    return q * (q - 1) + q * (nn - 2 * q) + _require_xm(spec) + q
+    return r * (n * n + n) + s * (2 * n * n + n)
 
 
 def obstructor_shape(spec: GroupSpec) -> ObstructorShape:
     """The cataloged join shape for the group."""
     n = spec.n
-    if spec.kind == "sl_z":
-        return ObstructorShape(None, tuple(range(n - 1)))
-    if spec.kind == "sl_o":
-        r, s = spec.places
+    if spec.kind in ("sl_z", "sl_o"):
+        r, s = spec.places or (1, 0)
         d, u = r + 2 * s, r + s - 1
         return ObstructorShape(None, tuple(p * d + u - 1 for p in range(1, n)))
     if spec.kind == "sp_z":
@@ -155,27 +149,12 @@ def sl_split_pair_shape(n: int) -> ObstructorShape:
 def root_data(spec: GroupSpec) -> tuple[RootSystem, int, int]:
     """(root system with multiplicities, dim X_M, rational rank) for cross-checks."""
     n = spec.n
-    if spec.kind in ("sl_z", "sl_o"):
-        r, s = spec.places if spec.kind == "sl_o" else (1, 0)
-        rs = build_root_system(("A", n - 1))
-        mult = {v: r + 2 * s for v in rs.positive_roots} if r + 2 * s > 1 else None
-        rs = build_root_system(("A", n - 1), multiplicities=mult)
-        return rs, (n - 1) * (r + s - 1), n - 1
-    if spec.kind in ("sp_z", "sp_o"):
-        r, s = spec.places if spec.kind == "sp_o" else (1, 0)
-        if n == 1:
-            rs = build_root_system(("A", 1))
-        else:
-            rs = build_root_system(("C", n))
-        mult = {v: r + 2 * s for v in rs.positive_roots} if r + 2 * s > 1 else None
-        rs = build_root_system(("C", n) if n > 1 else ("A", 1), multiplicities=mult)
-        return rs, n * (r + s - 1), n
+    if spec.kind != "so_q":
+        r, s = spec.places or (1, 0)
+        if spec.kind in ("sl_z", "sl_o"):
+            return _weighted(("A", n - 1), r + 2 * s), (n - 1) * (r + s - 1), n - 1
+        return _weighted(("C", n) if n > 1 else ("A", 1), r + 2 * s), n * (r + s - 1), n
     q, nn = spec.witt, spec.ambient
-    short_mult = nn - 2 * q
-    if q == 1:
-        rs = build_root_system(("A", 1))
-        mult = {rs.positive_roots[0]: short_mult} if short_mult > 1 else None
-        return build_root_system(("A", 1), multiplicities=mult), _require_xm(spec), q
     if nn == 2 * q:
         if q == 2:
             rs = build_root_system([("A", 1), ("A", 1)])
@@ -184,11 +163,20 @@ def root_data(spec: GroupSpec) -> tuple[RootSystem, int, int]:
         else:
             rs = build_root_system(("D", q))
         return rs, _require_xm(spec), q
-    rs = build_root_system(("B", q))
-    if short_mult > 1:
-        mult = {v: short_mult for v in rs.positive_roots if _is_short_b(v, q)}
-        rs = build_root_system(("B", q), multiplicities=mult)
-    return rs, _require_xm(spec), q
+    # B_1 is A_1, whose one positive root is short
+    b = ("B", q) if q > 1 else ("A", 1)
+    return _weighted(b, nn - 2 * q, lambda v: _is_short_b(v, q)), _require_xm(spec), q
+
+
+def _weighted(family_rank, mult: int, where=lambda v: True) -> RootSystem:
+    """The system with multiplicity ``mult`` on each positive root ``where``
+    accepts and 1 elsewhere; a second one is built only to attach ``mult`` > 1."""
+    rs = build_root_system(family_rank)
+    if mult > 1:
+        rs = build_root_system(
+            family_rank, multiplicities={v: mult for v in rs.positive_roots if where(v)}
+        )
+    return rs
 
 
 def _is_short_b(v, q: int) -> bool:

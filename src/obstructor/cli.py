@@ -126,17 +126,12 @@ def cmd_complex(args) -> int:
 
 
 def _spec_from_args(args) -> catalog.GroupSpec:
-    if args.group == "sl":
-        if args.ring == "Z":
-            return catalog.GroupSpec("sl_z", n=args.n)
-        return catalog.GroupSpec("sl_o", n=args.n, places=(args.real_places, args.complex_places))
-    if args.group == "sp":
-        if args.ring == "Z":
-            return catalog.GroupSpec("sp_z", n=args.n)
-        return catalog.GroupSpec("sp_o", n=args.n, places=(args.real_places, args.complex_places))
-    return catalog.GroupSpec(
-        "so_q", witt=args.witt, ambient=args.ambient, dim_xm=args.dim_xm
-    )
+    if args.group == "so":
+        return catalog.GroupSpec(
+            "so_q", witt=args.witt, ambient=args.ambient, dim_xm=args.dim_xm
+        )
+    places = None if args.ring == "Z" else (args.real_places, args.complex_places)
+    return catalog.GroupSpec(f"{args.group}_{args.ring.lower()}", n=args.n, places=places)
 
 
 def cmd_dims(args) -> int:
@@ -144,23 +139,25 @@ def cmd_dims(args) -> int:
         specs = catalog.catalog_grid()
         # shown for completeness; these rows are flagged, not asserted
         specs += [catalog.GroupSpec("sp_o", n=n, places=(2, 0)) for n in (2, 3)]
-    else:
+    elif args.group:
         specs = [_spec_from_args(args)]
+    else:
+        print("need --group or --all", file=sys.stderr)
+        return 2
     rows = []
     ok = True
     lines = [f"{'group':34} {'dim':>5} {'shape':28} {'m':>5} {'m+2=dim':>8}"]
     for spec in specs:
         rep = catalog.identity_check(spec)
         rows.append(rep.to_json())
-        flagged = spec.kind == "sp_o" and not rep.identity_holds
-        if not rep.identity_holds and not flagged:
+        if not rep.identity_holds and not rep.note:
             ok = False
         sphere = [] if rep.obstructor.sphere_dim is None else [rep.obstructor.sphere_dim]
         shape_txt = (f"S{sphere} " if sphere else "") + str(list(rep.obstructor.plus_dims))
         lines.append(
             f"{spec.label():34} {rep.dim_symmetric:>5} {shape_txt:28} {rep.m:>5} "
             f"{str(rep.identity_holds).lower():>8}"
-            + ("  (flagged)" if flagged else "")
+            + ("  (flagged)" if rep.note else "")
         )
     _emit({"rows": rows, "pass": ok}, args.json, args.save, lines)
     return 0 if ok else 1
@@ -195,6 +192,8 @@ def cmd_diverge(args) -> int:
 
 
 def cmd_lemma25(args) -> int:
+    if args.decades < 1:
+        raise ValueError(f"decades must be at least 1, got {args.decades}")
     magnitudes = [10 ** k for k in range(1, args.decades + 1)]
     results = [
         conemaps.split_growth_experiment(args.n, m, args.samples, args.seed)

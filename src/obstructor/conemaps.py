@@ -728,6 +728,8 @@ def split_growth_experiment(n: int, magnitude: int, samples: int, seed: int = 0)
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(f"{seed}|{n}|{magnitude}")
     lo = hi = None
     for _ in range(samples):

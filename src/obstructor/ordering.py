@@ -170,23 +170,16 @@ def _descent_candidates(rs: RootSystem, nodes: frozenset[int]) -> list[int]:
     """Nodes a with theta - hat(a) a root-or-zero and no other node subtractable.
 
     Subtractability means theta - t*e_u lands in the subsystem (with zero)
-    for some positive t; node vectors have single-index support, so positive
-    multiples of a node are positive multiples of a coordinate vector.
+    for some positive t, which holds iff theta - e_u does: when theta is not
+    a multiple of alpha_u = e_u, its alpha_u-string is unbroken (Bourbaki,
+    Lie Groups and Lie Algebras VI 1.3, Prop. 9; Humphreys 9.4), so it holds
+    every step between theta and theta - t*e_u; otherwise theta is alpha_u
+    or 2 alpha_u and theta - e_u is 0 or alpha_u.
     """
     sub = set(_subsystem(rs, nodes))
     elements = sub | {_vneg(v) for v in sub} | {rs.zero}
     theta = _highest_root(rs, nodes)
-    tmax = 2 * rs.max_coefficient()
-
-    def subtractable(u: int) -> bool:
-        for t in range(1, tmax + 1):
-            v = list(theta)
-            v[u] -= t
-            if tuple(v) in elements:
-                return True
-        return False
-
-    sub_nodes = [u for u in sorted(nodes) if subtractable(u)]
+    sub_nodes = [u for u in sorted(nodes) if _vadd(theta, _vneg(rs.simple[u])) in elements]
     if len(sub_nodes) != 1:
         return []
     a = sub_nodes[0]
@@ -199,8 +192,6 @@ def _chain_order(rs: RootSystem, nodes: frozenset[int]) -> list[int]:
     """Linear order of a chain component, walking from its smallest end."""
     degs = {i: sum(1 for j in nodes if j != i and rs.adjacent(i, j)) for i in nodes}
     ends = [i for i in sorted(nodes) if degs[i] <= 1]
-    if len(nodes) == 1:
-        return [next(iter(nodes))]
     if any(d > 2 for d in degs.values()):
         raise AssertionError("component is not a chain")
     start = min(ends)
@@ -325,13 +316,10 @@ def construct_witness(rs: RootSystem, lab: Labeling) -> Witness:
         for a, b in zip(walk, walk[1:]):
             if not rs.adjacent(a, b):
                 raise WitnessConstructionError("labeled component is not an order-walk chain")
-        run = []
+        sigma = rs.zero
         for i in reversed(walk):
             if labels[i] != D:
                 break
-            run.append(i)
-        sigma = rs.zero
-        for i in run:
             sigma = tuple(s - a for s, a in zip(sigma, rs.simple[i]))
     mu = _vadd(sigma, rs.hat(lab.focus))
     w = Witness(sigma=sigma, mu=mu)
@@ -408,33 +396,31 @@ def exhaustive_verify(
         order = diagram_order(rs)
     bits = _BitIndex(rs)
     checked = witnessed = witnessed_comp = 0
-    for p in range(1, rs.rank + 1):
-        focus = order[p - 1]
-        cand = bits.candidates[focus]
-        span = rs.component_of_node(focus)
-        cand_comp = cand & bits.support[span]
-        for letters in product((U, D), repeat=p - 1):
-            lab = Labeling.from_prefix(order, letters + (D,))
-            checked += 1
-            bad = 0
-            for i, l in lab.labels:
-                bad |= bits.bad_down[i] if l == D else bits.bad_up[i]
-            good = cand & ~bad
-            if good:
-                k = (good & -good).bit_length() - 1
-                sigma = bits.elements[k]
-                w = Witness(sigma=sigma, mu=_vadd(sigma, rs.hat(focus)))
-                if not verify_witness(rs, lab, w).ok:
-                    raise ExhaustiveCheckFailure(lab)
-                witnessed += 1
-            else:
-                raise ExhaustiveCheckFailure(lab)
-            bad_comp = 0
-            for i, l in lab.labels:
-                if i in span:
-                    bad_comp |= bits.bad_down[i] if l == D else bits.bad_up[i]
-            if cand_comp & ~bad_comp:
-                witnessed_comp += 1
+    focus = None
+    for lab in all_labelings(rs, order):
+        if lab.focus != focus:
+            focus = lab.focus
+            cand = bits.candidates[focus]
+            span = rs.component_of_node(focus)
+            cand_comp = cand & bits.support[span]
+        checked += 1
+        bad = bad_comp = 0
+        for i, l in lab.labels:
+            mask = bits.bad_down[i] if l == D else bits.bad_up[i]
+            bad |= mask
+            if i in span:
+                bad_comp |= mask
+        good = cand & ~bad
+        if not good:
+            raise ExhaustiveCheckFailure(lab)
+        k = (good & -good).bit_length() - 1
+        sigma = bits.elements[k]
+        w = Witness(sigma=sigma, mu=_vadd(sigma, rs.hat(focus)))
+        if not verify_witness(rs, lab, w).ok:
+            raise ExhaustiveCheckFailure(lab)
+        witnessed += 1
+        if cand_comp & ~bad_comp:
+            witnessed_comp += 1
     return OrderingReport(
         name=name or repr(rs),
         rank=rs.rank,

@@ -13,6 +13,7 @@ for D and E).  Multiplicities default to 1 and may be overridden per root.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 Vector = tuple[int, ...]
@@ -45,21 +46,24 @@ class NotSimpleRoot(ValueError):
     """Argument was expected to be a simple root of the system."""
 
 
+@dataclass(frozen=True)
 class RootSystemType:
     """A family/rank pair, e.g. C_3 or BC_1."""
 
-    __slots__ = ("family", "rank")
+    family: str
+    rank: int
 
-    def __init__(self, family: str, rank: int):
+    def __post_init__(self):
+        family, rank = self.family, self.rank
         if family not in FAMILIES:
             raise InvalidRank(f"unknown family {family!r}")
+        if type(rank) is not int:  # bool is an int subclass, and no rank
+            raise InvalidRank(f"rank must be an integer, got {rank!r}")
         if family in _FIXED_RANK:
             if rank != _FIXED_RANK[family]:
                 raise InvalidRank(f"{family} has fixed rank {_FIXED_RANK[family]}, got {rank}")
         elif rank < _MIN_RANK[family]:
             raise InvalidRank(f"{family} requires rank >= {_MIN_RANK[family]}, got {rank}")
-        self.family = family
-        self.rank = rank
 
     @property
     def name(self) -> str:
@@ -72,16 +76,6 @@ class RootSystemType:
 
     def __repr__(self) -> str:
         return f"RootSystemType({self.name})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RootSystemType)
-            and self.family == other.family
-            and self.rank == other.rank
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.rank))
 
 
 def _vadd(a: Vector, b: Vector) -> Vector:
@@ -184,7 +178,6 @@ class RootSystem:
             raise InvalidRank("at least one component required")
         self.components = tuple(components)
         self.rank = sum(c.rank for c in components)
-        self.component_nodes: tuple[tuple[int, ...], ...] = ()
         positives: list[Vector] = []
         doubled: list[int] = []
         spans = []
@@ -203,53 +196,43 @@ class RootSystem:
             doubled.extend(offset + i for i in comp_doubled)
             spans.append(tuple(range(offset, offset + comp.rank)))
             offset += comp.rank
-        self.component_nodes = tuple(spans)
+        self.component_nodes: tuple[tuple[int, ...], ...] = tuple(spans)
         self.positive_roots: tuple[Vector, ...] = tuple(sorted(positives))
         self.doubled_nodes = frozenset(doubled)
         self.simple: tuple[Vector, ...] = tuple(_unit(i, self.rank) for i in range(self.rank))
-        self._root_set = frozenset(self.positive_roots) | frozenset(
+        self.roots: frozenset[Vector] = frozenset(self.positive_roots) | frozenset(
             _vneg(v) for v in self.positive_roots
         )
         # fixed for the life of the system, so computed once: each node's hat and
         # the largest root coefficient
         self._hats: tuple[Vector, ...] = tuple(
-            d if (d := tuple(2 * x for x in a)) in self._root_set else a for a in self.simple
+            d if (d := tuple(2 * x for x in a)) in self.roots else a for a in self.simple
         )
         self._max_coefficient = max(max(v) for v in self.positive_roots)
         self.zero: Vector = tuple(0 for _ in range(self.rank))
         # roots and zero: a set for membership, sorted once for iteration
-        self._element_set = self._root_set | {self.zero}
+        self._element_set = self.roots | {self.zero}
         self.elements: tuple[Vector, ...] = tuple(sorted(self._element_set))
         self._mult: dict[Vector, int] = {}
         if multiplicities:
             for v, m in multiplicities.items():
                 v = tuple(v)
-                if v not in self._root_set:
+                if v not in self.roots:
                     raise ValueError(f"{v} is not a root")
-                if m < 1:
-                    raise ValueError("multiplicity must be a positive integer")
-                self._mult[v] = int(m)
-                self._mult[_vneg(v)] = int(m)
+                if type(m) is not int or m < 1:
+                    raise ValueError(f"multiplicity must be a positive integer, got {m!r}")
+                self._mult[v] = m
+                self._mult[_vneg(v)] = m
 
     # membership -----------------------------------------------------------
 
-    @property
-    def roots(self) -> frozenset[Vector]:
-        return self._root_set
-
     def is_element(self, v) -> bool:
         """Membership in the set of roots together with zero."""
-        v = tuple(v)
-        if len(v) != self.rank:
-            return False
-        return v in self._element_set
-
-    def is_root(self, v) -> bool:
-        return tuple(v) in self._root_set
+        return tuple(v) in self._element_set
 
     def multiplicity(self, v) -> int:
         v = tuple(v)
-        if v not in self._root_set:
+        if v not in self.roots:
             raise ValueError(f"{v} is not a root")
         return self._mult.get(v, 1)
 
@@ -272,7 +255,7 @@ class RootSystem:
 
     def adjacent(self, i: int, j: int) -> bool:
         """Diagram adjacency: the sum of two simple roots is a root iff joined."""
-        return _vadd(self.simple[i], self.simple[j]) in self._root_set
+        return _vadd(self.simple[i], self.simple[j]) in self.roots
 
     def component_of_node(self, i: int) -> tuple[int, ...]:
         for span in self.component_nodes:
@@ -293,7 +276,7 @@ class RootSystem:
         ]
         for a, b in combinations(out, 2):
             s = _vadd(a, b)
-            if s in self._root_set and not (
+            if s in self.roots and not (
                 s[i] > 0 and all(s[j] == 0 for j in range(i + 1, self.rank))
             ):
                 raise AssertionError("column root set is not closed under addition")
@@ -330,10 +313,9 @@ class RootSystem:
 
 def build_root_system(spec, multiplicities=None) -> RootSystem:
     """Build a root system from a RootSystemType, a (family, rank) pair, or a list."""
-    if isinstance(spec, RootSystemType):
-        comps = [spec]
-    elif isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], str):
-        comps = [RootSystemType(*spec)]
-    else:
-        comps = [s if isinstance(s, RootSystemType) else RootSystemType(*s) for s in spec]
+    if isinstance(spec, RootSystemType) or (
+        isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], str)
+    ):
+        spec = [spec]
+    comps = [s if isinstance(s, RootSystemType) else RootSystemType(*s) for s in spec]
     return RootSystem(comps, multiplicities=multiplicities)

@@ -24,6 +24,17 @@ def test_dim_symmetric_values():
         assert dim_symmetric(GroupSpec("sl_o", n=n, places=(2, 0))) == n * n + n - 2
         assert dim_symmetric(GroupSpec("sp_z", n=n)) == n * n + n
     assert dim_symmetric(GroupSpec("so_q", witt=2, ambient=7, dim_xm=1)) == 2 + 6 + 1 + 2
+    # Z is the ring with one real place: sl_o and sp_o at (r, s) = (1, 0)
+    # give the dimension and root data of sl_z and sp_z, and sl also the shape
+    for n in range(1, 10):
+        pairs = [("sp_z", "sp_o")] + ([("sl_z", "sl_o")] if n >= 2 else [])
+        for z, o in pairs:
+            zs, os_ = GroupSpec(z, n=n), GroupSpec(o, n=n, places=(1, 0))
+            assert dim_symmetric(os_) == dim_symmetric(zs)
+            (rz, xz, kz), (ro, xo, ko) = root_data(zs), root_data(os_)
+            assert (rz.to_json(), xz, kz) == (ro.to_json(), xo, ko)
+            if z == "sl_z":
+                assert obstructor_shape(os_) == obstructor_shape(zs)
 
 
 def test_shapes():
@@ -113,6 +124,11 @@ def test_spec_validation():
         GroupSpec("so_q", witt=1, ambient=2)
     with pytest.raises(ValueError):
         GroupSpec("nope", n=3)
+    # the _z kinds read (r, s) = (1, 0) and take no place counts
+    for kind in ("sl_z", "sp_z"):
+        for places in ((2, 0), (1, 0)):
+            with pytest.raises(ValueError, match="one real place"):
+                GroupSpec(kind, n=3, places=places)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +206,15 @@ def test_cli_usage_errors(capsys):
     for text in ("A", "BC", "E", "C3x", "D-4"):
         assert main(["lemma-key", "--type", text]) == 2
         assert f"error: malformed type {text!r}" in capsys.readouterr().err
+    assert main(["dims"]) == 2
+    assert capsys.readouterr().err == "need --group or --all\n"
+    for argv, message in [
+        (["--decades", "0"], "decades must be at least 1, got 0"),
+        (["--decades", "-2"], "decades must be at least 1, got -2"),
+        (["--samples", "0"], "samples must be at least 1, got 0"),
+    ]:
+        assert main(["lemma25", "--n", "3", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_save_respects_output_dir(tmp_path, monkeypatch, capsys):
@@ -222,3 +247,13 @@ def test_cli_consecutive_calls_share_one_parser(capsys):
     assert "need --type or --all" in capsys.readouterr().err
     assert main(["rootsys", "--family", "A", "--rank", "2", "--json"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cli_dims_reads_the_flag_from_the_report(capsys):
+    # sp over a ring: the transcribed shape disagrees, and the row is flagged, not failed
+    assert main(["dims", "--group", "sp", "--n", "3", "--ring", "O", "--real-places", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "Sp_6(O[r=2,s=0])" in out and "(flagged)" in out
+    assert main(["dims", "--group", "sp", "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "Sp_6(Z)" in out and "(flagged)" not in out

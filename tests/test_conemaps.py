@@ -629,6 +629,8 @@ def test_fewer_than_one_sample_is_refused(samples):
         properness_test(h, samples=samples)
     with pytest.raises(ValueError, match="samples"):
         divergence_test(h, (((1, 2), 1),), (((1, 2), -1),), samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        split_growth_experiment(3, 100, samples)
 
 
 def test_unknown_pairing_is_refused():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,15 @@ from obstructor import (
     verify_witness,
 )
 from obstructor.cli import ACCEPTANCE_TYPES
-from obstructor.ordering import WitnessReport, _BitIndex, _positive_multiple_of_node
+from obstructor.ordering import (
+    WitnessReport,
+    _BitIndex,
+    _components,
+    _descent_candidates,
+    _highest_root,
+    _positive_multiple_of_node,
+    _subsystem,
+)
 
 GRID = (
     [("A", n) for n in range(1, 9)]
@@ -307,3 +316,43 @@ def test_verify_witness_matches_reference_on_wider_systems(spec):
             for mu in (tuple(s + a for s, a in zip(sigma, ahat)), sigma):
                 w = Witness(sigma, mu)
                 assert verify_witness(rs, lab, w) == _reference_verify(rs, lab, w), (lab, w)
+
+
+def _reference_descent_candidates(rs, nodes):
+    """The descent rule with subtractability probed at every step t = 1..2M."""
+    sub = set(_subsystem(rs, nodes))
+    elements = sub | {tuple(-x for x in v) for v in sub} | {rs.zero}
+    theta = _highest_root(rs, nodes)
+    tmax = 2 * rs.max_coefficient()
+
+    def subtractable(u):
+        for t in range(1, tmax + 1):
+            v = list(theta)
+            v[u] -= t
+            if tuple(v) in elements:
+                return True
+        return False
+
+    sub_nodes = [u for u in sorted(nodes) if subtractable(u)]
+    if len(sub_nodes) != 1:
+        return []
+    a = sub_nodes[0]
+    if tuple(x - y for x, y in zip(theta, rs.hat(a))) in elements:
+        return [a]
+    return []
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_TYPES, ids=str)
+def test_descent_probe_matches_per_step_scan(spec):
+    # every connected node subset, so every component that diagram_order
+    # and construct_witness can meet
+    rs = build_root_system(spec)
+    connected = 0
+    for size in range(1, rs.rank + 1):
+        for nodes in combinations(range(rs.rank), size):
+            nodes = frozenset(nodes)
+            if len(_components(rs, nodes)) != 1:
+                continue
+            connected += 1
+            assert _descent_candidates(rs, nodes) == _reference_descent_candidates(rs, nodes), nodes
+    assert connected >= rs.rank

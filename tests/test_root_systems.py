@@ -260,6 +260,22 @@ def test_invalid_ranks_rejected():
             build_root_system((fam, rank))
     with pytest.raises(InvalidRank):
         RootSystemType("H", 2)
+    # a rank must be an int; bool is an int subclass, but no rank
+    for rank in (True, 2.0, "2", None):
+        with pytest.raises(InvalidRank, match="integer"):
+            build_root_system(("A", rank))
+    with pytest.raises(InvalidRank, match="integer"):
+        RootSystemType("C", False)
+
+
+def test_root_system_type_is_a_frozen_value():
+    a, b = RootSystemType("BC", 3), RootSystemType("BC", 3)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != RootSystemType("B", 3) and a != ("BC", 3)
+    assert repr(a) == "RootSystemType(BC3)" and repr(RootSystemType("E8", 8)) == "RootSystemType(E8)"
+    with pytest.raises(AttributeError):
+        a.rank = 4
+    assert build_root_system(a).components == (b,)
 
 
 def test_multiplicity_validation():
@@ -268,6 +284,9 @@ def test_multiplicity_validation():
         build_root_system(("A", 2), multiplicities={(2, 0): 2})
     with pytest.raises(ValueError):
         build_root_system(("A", 2), multiplicities={(1, 0): 0})
+    for m in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="positive integer"):
+            build_root_system(("A", 2), multiplicities={(1, 0): m})
     rs = build_root_system(("A", 2), multiplicities={(1, 0): 3})
     assert rs.multiplicity((1, 0)) == 3
     assert rs.multiplicity((-1, 0)) == 3

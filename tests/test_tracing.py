@@ -57,3 +57,22 @@ def test_every_traced_name_resolves_and_is_restored(fresh_library):
     assert set(metrics) == set(tracing.LAYER_METRICS)
     assert metrics["conemaps.rays"] > 0 and metrics["conemaps.pairs"] > 0
     assert metrics["exact.adjugate_calls"] > 0 and metrics["conemaps.scaled_calls"] > 0
+
+
+def test_a_grid_round_reaches_every_grid_metric(fresh_library, capsys):
+    # a refactor that bypassed catalog.build_root_system or the module-level
+    # verify_witness would leave these metrics at zero without failing
+    lib = fresh_library
+    tracer = tracing.Tracer()
+    tracer.install(lib)
+    try:
+        codes, _ = tracer.round(lambda: (lib.cli.main(["lemma-key", "--type", "A2", "--json"]),
+                                         lib.cli.main(["dims", "--group", "sl", "--json"])))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == (0, 0)
+    metrics = tracer.layer_metrics()
+    for name in ("ordering.labelings", "ordering.witness_checks",
+                 "catalog.identity_checks", "rootsystems.builds"):
+        assert metrics[name] > 0, name
