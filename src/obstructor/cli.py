@@ -130,7 +130,8 @@ def _spec_from_args(args) -> catalog.GroupSpec:
         return catalog.GroupSpec(
             "so_q", witt=args.witt, ambient=args.ambient, dim_xm=args.dim_xm
         )
-    places = None if args.ring == "Z" else (args.real_places, args.complex_places)
+    r, s = args.real_places, args.complex_places  # GroupSpec refuses any given for Z
+    places = None if args.ring == "Z" and (r, s) == (None, None) else (1 if r is None else r, s or 0)
     return catalog.GroupSpec(f"{args.group}_{args.ring.lower()}", n=args.n, places=places)
 
 
@@ -252,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", choices=("sl", "sp", "so"))
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--ring", choices=("Z", "O"), default="Z")
-    sp.add_argument("--real-places", type=int, default=1)
-    sp.add_argument("--complex-places", type=int, default=0)
+    sp.add_argument("--real-places", type=int, help="real places of O (default 1)")
+    sp.add_argument("--complex-places", type=int, help="complex place pairs of O (default 0)")
     sp.add_argument("--witt", type=int, help="q for SO(Q)")
     sp.add_argument("--ambient", type=int, help="dim of the quadratic space")
     sp.add_argument("--dim-xm", type=int, help="anisotropic-kernel manifold dim")

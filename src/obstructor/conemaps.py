@@ -100,12 +100,18 @@ class ConeMap:
         Weights are int_weights / total.  The hook validates the simplex and
         returns the integer matrix coefficients of t, t^2, ... in Y(t); all-zero
         top coefficients, such as N_U N_L on split domains, are dropped here.
+        Every reader gets the contract enforced, ValueError otherwise: Y is
+        nilpotent, by an acyclic support of the coefficients or else Y^n = 0.
         """
         if self._scaled is None:
             return None
         ys, den = self._scaled(simplex, int_weights, total)
         while ys and not any(chain.from_iterable(ys[-1])):
             ys = ys[:-1]
+        support = {(i, j) for y in ys for i, row in enumerate(y) for j, v in enumerate(row) if v}
+        if not is_acyclic(support) and unipotent_adjugate(self.size, ys, den) is None:
+            raise ValueError(f"{self.name}: the hook's Y(t) over {simplex} is not nilpotent, so "
+                             "den*I + Y(t) is not certified to have determinant 1")
         return ys, den
 
     def scaled(self, simplex, int_weights, total, radii) -> list[tuple[IntRows, int]]:
@@ -371,24 +377,21 @@ def _ray_stat(prep) -> tuple[int, int]:
     return max(int_max_abs(m) * den ** (n - 2), int_max_abs(adj), denpow), denpow
 
 
-def _ray_stats(cone_map: ConeMap, simplex, weights, radii) -> list[tuple[int, int]]:
+def _ray_stats(cone_map: ConeMap, simplex, weights, radii, poly=None) -> list[tuple[int, int]]:
     """_ray_stat of one sampled ray at each radius.
 
     A map without a `scaled` hook takes _prep at every radius.  With one,
-    its polynomial den I + Y(t) is read once: a nilpotent Y gives det 1 at
-    every t and the adjugate as a polynomial too, and each radius evaluates
+    its polynomial den I + Y(t) is read once (or given): a nilpotent Y gives det
+    1 at every t and the adjugate as a polynomial too, and each radius evaluates
     only the entries of den^(n-2) m(t) and adj(t) that can attain the maximum.
     """
-    poly = cone_map.polynomial(simplex, weights, WEIGHT_TOTAL)
+    poly = poly or cone_map.polynomial(simplex, weights, WEIGHT_TOTAL)
     if poly is None:
         images = cone_map.scaled(simplex, weights, WEIGHT_TOTAL, radii)
         return [_ray_stat(_prep(cone_map, simplex, m, den)) for m, den in images]
     ys, den = poly
     n = cone_map.size
     adj = unipotent_adjugate(n, ys, den)
-    if adj is None:
-        raise ValueError(f"{cone_map.name}: the hook's Y(t) over {simplex} is not nilpotent, so "
-                         "den*I + Y(t) is not certified to have determinant 1")
     denpow = den ** (n - 1)
     m = [[denpow if i % (n + 1) == 0 else 0 for i in range(n * n)]]  # den^(n-1) I, flat
     m += [tuple(map(mul, chain.from_iterable(y), repeat(den ** (n - 2)))) for y in ys]
@@ -560,6 +563,35 @@ def _simplices_sorted(domain: SimplicialComplex):
             for s in sorted(layer, key=lambda s: sorted(map(reprs.__getitem__, s)))]
 
 
+def _sign_orbits(simplices, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Per simplex: the index of the first simplex of its sign orbit, and the
+    flat n x n sign pattern d_i d_j that carries that first one to it.
+
+    d in {+-1}^n with d_1 = 1 acts on a vertex ((i, j), s), 1 <= i != j <= n,
+    by s -> s d_i d_j, conjugation by diag(d); a simplex with any other vertex
+    is its own orbit.  An image may leave the list (on L(n), ((k, k-1), +)
+    stays a vertex only when d_k = d_(k-1)); the orbit is the images that
+    stay, so the first simplex of an orbit, in list order, claims all of it.
+    """
+    index = {s: k for k, s in enumerate(simplices)}
+    positions = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    signs = [(1, *d) for d in product((1, -1), repeat=n - 1)]
+    patterns = [tuple(a * b for a in d for b in d) for d in signs]  # patterns[0] is all 1
+    orbits = [None] * len(simplices)
+    for k, simplex in enumerate(simplices):
+        if orbits[k] is not None:
+            continue
+        orbits[k] = (k, patterns[0])
+        if not all(isinstance(v, tuple) and len(v) == 2 and v[0] in positions and v[1] in (1, -1)
+                   for v in simplex):
+            continue
+        for d, pattern in zip(signs, patterns):
+            image = index.get(tuple(sorted(((i, j), s * d[i - 1] * d[j - 1]) for (i, j), s in simplex)))
+            if image is not None and orbits[image] is None:
+                orbits[image] = (k, pattern)
+    return orbits
+
+
 def divergence_test(
     cone_map: ConeMap,
     sigma,
@@ -679,19 +711,44 @@ def properness_test(
     non-monotone although each grows by more than e^35 over the schedule.
     Images must have determinant 1, and a hook's Y(t) must be nilpotent,
     checked once per ray (ValueError otherwise).
+
+    A hook map's ray on a simplex that is not first in its sign orbit
+    (_sign_orbits) takes the verdict of the same sample on the first one once
+    its den is equal and its coefficients are the first one's times the sign
+    pattern d_i d_j; any other ray is computed.  Then Y'(t) = D Y(t) D with
+    D = diag(d) = D^-1, so what the statistic reads, den^(n-2) (den I + Y'(t))
+    and adj = sum_k (-1)^k den^(n-1-k) Y'(t)^k, is the first one's conjugated
+    by D, which flips only entry signs: every per-radius integer is equal, and
+    so are the monotone verdict, the growth and the failure record, which
+    keeps this simplex's label.  Orbits never cross sizes, so only the first
+    members of the current size are kept.
     """
     t0 = time.perf_counter()
     radii = tuple(radii) if radii is not None else default_radii()
     _check_radii(radii)
     report = SuiteReport(cone_map.name, "properness", sampling="rays")
-    for s in _simplices_sorted(cone_map.domain):
+    simplices = _simplices_sorted(cone_map.domain)
+    kept = {}  # first orbit member -> each ray's (key, verdict)
+    for k, (s, (first, signs)) in enumerate(zip(simplices, _sign_orbits(simplices, cone_map.size))):
+        if k and len(s) != len(simplices[k - 1]):
+            kept.clear()
         label = repr(s)
-        for w in sample_weight_vectors(len(s), samples, seed):
-            stats = _ray_stats(cone_map, s, w, radii)
-            monotone = all(nb * da >= na * db for (na, da), (nb, db) in zip(stats, stats[1:]))
-            growth = _log_stat(stats[-1]) - _log_stat(stats[0])
-            failure = {"simplex": label, "monotone": monotone, "growth": round(growth, 4)}
-            report.record(monotone and _grew(stats[0], stats[-1], growth_factor), growth, failure)
+        rays = kept.setdefault(first, [])
+        for r, w in enumerate(sample_weight_vectors(len(s), samples, seed)):
+            poly = cone_map.polynomial(s, w, WEIGHT_TOTAL)
+            # den and the flat coefficients times the signs: a first member's own
+            # coefficients, and the same for every member that may reuse its verdict
+            key = poly and (poly[1], [tuple(map(mul, chain.from_iterable(y), signs)) for y in poly[0]])
+            if first < k and poly and rays[r][0] == key:
+                ok, growth, monotone = rays[r][1]
+            else:
+                stats = _ray_stats(cone_map, s, w, radii, poly)
+                monotone = all(nb * da >= na * db for (na, da), (nb, db) in zip(stats, stats[1:]))
+                growth = _log_stat(stats[-1]) - _log_stat(stats[0])
+                ok = monotone and _grew(stats[0], stats[-1], growth_factor)
+            if first == k:
+                rays.append((key, (ok, growth, monotone)))
+            report.record(ok, growth, {"simplex": label, "monotone": monotone, "growth": round(growth, 4)})
     report.elapsed_s = time.perf_counter() - t0
     return report
 

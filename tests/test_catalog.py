@@ -176,6 +176,18 @@ def test_cli_dims_row(capsys):
     assert row["identity_holds"] is True
 
 
+def test_cli_dims_refuses_place_counts_over_z(capsys):
+    for group in ("sl", "sp"):
+        for places in (["--real-places", "3", "--complex-places", "2"], ["--complex-places", "0"]):
+            assert main(["dims", "--group", group, "--ring", "Z", *places]) == 2
+            assert capsys.readouterr() == ("", "error: Z has one real place; give no place counts\n")
+    # a ring of integers keeps (1, 0) for a count that is not given
+    for places, group in [([], "SL_3(O[r=1,s=0])"), (["--real-places", "2"], "SL_3(O[r=2,s=0])"),
+                          (["--complex-places", "1"], "SL_3(O[r=1,s=1])")]:
+        assert main(["dims", "--group", "sl", "--ring", "O", *places, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["group"] == group
+
+
 def test_cli_dims_so(capsys):
     code = main([
         "dims", "--group", "so", "--witt", "2", "--ambient", "7", "--dim-xm", "1", "--json",

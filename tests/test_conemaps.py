@@ -48,6 +48,7 @@ from obstructor.conemaps import (
     _ray_stat,
     _ray_stats,
     _sampled_rays,
+    _sign_orbits,
     _simplices_sorted,
     _threshold,
     sample_weight_vectors,
@@ -231,8 +232,14 @@ def _hooked(hook):
     lambda s, w, total: ((((0, total), (1, 0)), ((1, 0), (0, 0))), total),
 ])
 def test_hooks_outside_the_contract_are_refused(hook):
+    # ConeMap.polynomial enforces the contract for every reader; the
+    # determinant checks alone pass the second hook
     with pytest.raises(ValueError, match="determinant 1"):
         properness_test(_hooked(hook), radii=(1, 2 ** 20), samples=1)
+    with pytest.raises(ValueError, match="determinant 1"):
+        divergence_suite(_hooked(hook), samples=1)
+    with pytest.raises(ValueError, match="determinant 1"):
+        divergence_test(_hooked(hook), (((1, 2), 1),), (((1, 2), -1),), samples=1)
 
 
 def test_a_unipotent_hook_is_accepted():
@@ -295,6 +302,104 @@ def test_simplices_sorted_keeps_the_order_by_size_and_vertex_reprs(name):
     # the vertices, read off the frozenset closure
     ordered = sorted(domain.simplices(), key=lambda s: (len(s), sorted(map(repr, s))))
     assert _simplices_sorted(domain) == [tuple(sorted(s)) for s in ordered]
+
+
+# properness reuses one ray per sign orbit
+
+def _reference_properness(cm, radii, seed):
+    """properness_test with one _ray_stats per ray and no reuse."""
+    report = SuiteReport(cm.name, "properness", sampling="rays")
+    for s in _simplices_sorted(cm.domain):
+        for w in sample_weight_vectors(len(s), 8, seed):
+            stats = _ray_stats(cm, s, w, radii)
+            monotone = all(nb * da >= na * db for (na, da), (nb, db) in zip(stats, stats[1:]))
+            growth = _log_stat(stats[-1]) - _log_stat(stats[0])
+            failure = {"simplex": repr(s), "monotone": monotone, "growth": round(growth, 4)}
+            report.record(monotone and _grew(stats[0], stats[-1], GROWTH_FACTOR), growth, failure)
+    return report
+
+
+def _rays_and_computed(monkeypatch, cm, radii, seed):
+    """Every ray's recorded (ok, repr(growth), failure) in order, from
+    properness_test and from the reference, the reports' fingerprints, and
+    how many rays properness_test computed."""
+    computed = []
+    monkeypatch.setattr(conemaps, "_ray_stats", lambda *args: computed.append(1) or _ray_stats(*args))
+    recorded = []
+    record = SuiteReport.record
+    monkeypatch.setattr(SuiteReport, "record", lambda self, ok, growth, failure: (
+        recorded.append((ok, repr(growth), failure)), record(self, ok, growth, failure)))
+    report = properness_test(cm, radii=radii, seed=seed)
+    rays = recorded[:]
+    recorded.clear()
+    reference = _reference_properness(cm, radii or default_radii(), seed)
+    assert rays == recorded and len(rays) == report.total
+    assert _fingerprint(report) == _fingerprint(reference)
+    return report, len(computed)
+
+
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("radii", [None, (1, 16, 2 ** 20, 2 ** 40)])
+def test_properness_reuse_matches_one_ray_stats_per_ray(builder, n, seed, radii, monkeypatch):
+    cm = builder(n)
+    report, computed = _rays_and_computed(monkeypatch, cm, radii, seed)
+    if builder is superimpose_map:
+        # no hook, so no coefficients to check: every ray is computed
+        assert computed == report.total
+    else:
+        simplices = _simplices_sorted(cm.domain)
+        firsts = sum(first == k for k, (first, _) in enumerate(_sign_orbits(simplices, n)))
+        assert computed == 8 * firsts < report.total
+
+
+def test_properness_reuse_keeps_the_seed_3_failures_of_heisenberg_4(monkeypatch):
+    report, computed = _rays_and_computed(monkeypatch, heisenberg_map(4), None, 3)
+    assert report.failed == len(report.failures) == 8
+    assert computed == 8 * 107
+
+
+def test_properness_refuses_reuse_on_a_hook_that_is_not_sign_equivariant(monkeypatch):
+    # weight w on a + entry and 2w on a - entry: nilpotent, but flipping a
+    # sign is not conjugation by a sign matrix, so no coefficient check passes
+    def hook(simplex, int_weights, total):
+        rows = [[0] * 3 for _ in range(3)]
+        for ((i, j), s), a in zip(simplex, int_weights):
+            rows[i - 1][j - 1] = s * a * (1 if s == 1 else 2)
+        return (tuple(map(tuple, rows)),), total
+
+    cm = ConeMap("lopsided", heisenberg_domain(3), 3, lambda p: ExactMatrix.identity(3), hook)
+    for seed in (0, 3):
+        report, computed = _rays_and_computed(monkeypatch, cm, None, seed)
+        assert computed == report.total == 8 * 26
+
+
+SIGN_DOMAINS = {
+    "heisenberg_domain(4)": (heisenberg_domain(4), 4, 728, 107),
+    "obstructor_subcomplex(4)": (obstructor_subcomplex(4), 4, 1119, 228),
+    "fibration(heisenberg(3),split(3))": (ORDER_DOMAINS["fibration(heisenberg(3),split(3))"], 3, None, None),
+}
+
+
+@pytest.mark.parametrize("name", SIGN_DOMAINS)
+def test_sign_orbits_and_their_patterns(name):
+    domain, n, size, orbits = SIGN_DOMAINS[name]
+    simplices = _simplices_sorted(domain)
+    found = _sign_orbits(simplices, n)
+    firsts = [k for k, (first, _) in enumerate(found) if first == k]
+    if orbits is None:
+        # vertices of another form are each their own orbit
+        assert found == [(k, (1,) * (n * n)) for k in range(len(simplices))]
+        return
+    assert (len(simplices), len(firsts)) == (size, orbits)
+    for k, (first, signs) in enumerate(found):
+        assert first <= k and len(simplices[first]) == len(simplices[k])
+        image = [((i, j), s * signs[(i - 1) * n + j - 1]) for (i, j), s in simplices[first]]
+        assert image == list(simplices[k])
+        # the pattern is d_i d_j for a d with d_1 = 1
+        d = signs[:n]
+        assert d[0] == 1 and signs == tuple(a * b for a in d for b in d)
 
 
 def test_sample_weight_vectors_is_memoized_and_still_refuses():
