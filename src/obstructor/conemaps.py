@@ -146,18 +146,20 @@ class ConeMap:
 # ---------------------------------------------------------------------------
 # the concrete maps
 
-def _check_positions(n: int, simplex, above_only: bool) -> None:
-    seen = set()
-    for (i, j), s in simplex:
+def _signed_entries(n: int, simplex, weights, t, above_only: bool) -> dict:
+    """{position: sign * weight * t} over the signed vertices, each one checked."""
+    entries = {}
+    for ((i, j), s), w in zip(simplex, weights):
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise BadVertex(f"({i},{j}) is not an off-diagonal position of size {n}")
         if above_only and i >= j:
             raise BadVertex(f"({i},{j}) is not above the diagonal")
         if s not in (1, -1):
             raise BadVertex(f"sign {s!r} must be +1 or -1")
-        if (i, j) in seen:
+        if (i, j) in entries:
             raise BadSimplex(f"position ({i},{j}) appears twice")
-        seen.add((i, j))
+        entries[i, j] = s * w * t
+    return entries
 
 
 def heisenberg_domain(n: int) -> SimplicialComplex:
@@ -178,32 +180,33 @@ def _int_matrix(n: int, entries: dict) -> IntRows:
     return tuple(map(tuple, rows))
 
 
-def heisenberg_map(n: int) -> ConeMap:
-    """Upper unitriangular matrices with signed weighted entries."""
+def _entry_map(name: str, n: int, domain: SimplicialComplex, above_only: bool) -> ConeMap:
+    """I plus every signed weighted entry in one matrix, on `domain`."""
 
     def evaluate(p: ConePoint) -> ExactMatrix:
-        _check_positions(n, p.simplex, above_only=True)
-        entries = {pos: s * w * p.t for (pos, s), w in zip(p.simplex, p.weights)}
-        return ExactMatrix.from_entries(n, entries)
+        return ExactMatrix.from_entries(n, _signed_entries(n, p.simplex, p.weights, p.t, above_only))
 
     def scaled(simplex, int_weights, total):
         # total * image(t) = total I + t N
-        _check_positions(n, simplex, above_only=True)
-        entries = {pos: s * a for (pos, s), a in zip(simplex, int_weights)}
-        return (_int_matrix(n, entries),), total
+        return (_int_matrix(n, _signed_entries(n, simplex, int_weights, 1, above_only)),), total
 
-    return ConeMap(f"heisenberg(n={n})", heisenberg_domain(n), n, evaluate, scaled)
+    return ConeMap(name, domain, n, evaluate, scaled)
+
+
+def heisenberg_map(n: int) -> ConeMap:
+    """Upper unitriangular matrices with signed weighted entries: the
+    construction of superimpose_map on the above-diagonal sphere."""
+    return _entry_map(f"heisenberg(n={n})", n, heisenberg_domain(n), above_only=True)
 
 
 def _split_parts(n: int, simplex, weights, t):
-    _check_positions(n, simplex, above_only=False)
-    if not is_acyclic([pos for pos, _ in simplex]):
+    entries = _signed_entries(n, simplex, weights, t, above_only=False)
+    if not is_acyclic(entries):
         raise BadSimplex("signed positions contain an oriented cycle")
     upper = {}
     lower = {}
-    for (pos, s), w in zip(simplex, weights):
-        i, j = pos
-        (upper if i < j else lower)[pos] = s * w * t
+    for (i, j), v in entries.items():
+        (upper if i < j else lower)[i, j] = v
     return upper, lower
 
 
@@ -231,20 +234,15 @@ def split_map(n: int) -> ConeMap:
 
 
 def superimpose_map(n: int) -> ConeMap:
-    """The naive map placing every signed entry in a single matrix.
+    """The naive map placing every signed entry in a single matrix: the
+    construction of heisenberg_map on the domain of split_map.
 
     Kept as a foil: on <12+,23+,13+> and <13-,32+> it has cones with
     bounded pairs of drifting sequences, but <13-,32+> is not a simplex of
     the domain (13- lies on the column-3 sphere and 32+ is that column's
     added point), so no failure of divergence on the domain itself is known.
     """
-
-    def evaluate(p: ConePoint) -> ExactMatrix:
-        _check_positions(n, p.simplex, above_only=False)
-        entries = {pos: s * w * p.t for (pos, s), w in zip(p.simplex, p.weights)}
-        return ExactMatrix.from_entries(n, entries)
-
-    return ConeMap(f"superimpose(n={n})", obstructor_subcomplex(n), n, evaluate)
+    return _entry_map(f"superimpose(n={n})", n, obstructor_subcomplex(n), above_only=False)
 
 
 def fibration_compose(alpha: ConeMap, beta: ConeMap, section, embed) -> ConeMap:
@@ -743,7 +741,7 @@ def properness_test(
                 ok, growth, monotone = rays[r][1]
             else:
                 stats = _ray_stats(cone_map, s, w, radii, poly)
-                monotone = all(nb * da >= na * db for (na, da), (nb, db) in zip(stats, stats[1:]))
+                monotone = all(map(_grew, stats, stats[1:], repeat(1)))
                 growth = _log_stat(stats[-1]) - _log_stat(stats[0])
                 ok = monotone and _grew(stats[0], stats[-1], growth_factor)
             if first == k:

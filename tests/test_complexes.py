@@ -157,6 +157,17 @@ def test_obstructor_subcomplex_sits_inside_signed_double(n):
         assert sc.has_simplex(f)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_is_acyclic_on_every_arrow_set(n):
+    # acyclic iff some order of the nodes sends every arrow forward
+    arrows = [(i, j) for i in range(n) for j in range(n) if i != j]
+    orders = [{v: k for k, v in enumerate(p)} for p in permutations(range(n))]
+    for mask in range(2 ** len(arrows)):
+        chosen = [a for k, a in enumerate(arrows) if mask >> k & 1]
+        expected = any(all(o[i] < o[j] for i, j in chosen) for o in orders)
+        assert is_acyclic(chosen) == expected, chosen
+
+
 def test_obstructor_subcomplex_facets_are_acyclic_all_n():
     for n in range(2, 7):
         for f in obstructor_subcomplex(n).facets:

@@ -114,8 +114,7 @@ def test_split_image_has_determinant_one():
         assert int_det_adjugate(rows)[0] == den ** 4
 
 
-# heisenberg and split build each ray from their polynomial hook;
-# superimpose has none and goes through the exact fallback
+# heisenberg, split and superimpose build each ray from their polynomial hook
 SCALED_MAPS = [heisenberg_map(3), heisenberg_map(4), split_map(3), split_map(4), superimpose_map(3)]
 
 
@@ -182,7 +181,7 @@ def test_scaled_matches_exact_path_at_random_points(point):
 
 # properness reads each hook ray's statistics from its polynomial
 
-HOOK_MAPS = {(b.__name__, n): b(n) for b in (heisenberg_map, split_map) for n in (2, 3, 4)}
+HOOK_MAPS = {(b.__name__, n): b(n) for b in (heisenberg_map, split_map, superimpose_map) for n in (2, 3, 4)}
 OFF_DOMAIN = (((2, 3), 1), ((3, 1), 1))  # split's image has a t^2 term here
 
 
@@ -217,6 +216,17 @@ def test_ray_stats_see_the_t2_term_off_the_domain():
         assert _ray_stats(cm, OFF_DOMAIN, (20, 40), radii) == [
             _ray_stat(_prep(cm, OFF_DOMAIN, m, den)) for m, den in images
         ]
+
+
+def _hookless(cm):
+    # the same map without its hook: each radius goes through the exact Fraction image
+    return ConeMap(cm.name, cm.domain, cm.size, cm.__call__)
+
+
+def hookless_superimpose(n):
+    # every shipped map but fibration_compose has a hook; this copy keeps the
+    # suites' path for maps without one under test
+    return _hookless(superimpose_map(n))
 
 
 def _hooked(hook):
@@ -338,14 +348,14 @@ def _rays_and_computed(monkeypatch, cm, radii, seed):
     return report, len(computed)
 
 
-@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map, hookless_superimpose])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("radii", [None, (1, 16, 2 ** 20, 2 ** 40)])
 def test_properness_reuse_matches_one_ray_stats_per_ray(builder, n, seed, radii, monkeypatch):
     cm = builder(n)
     report, computed = _rays_and_computed(monkeypatch, cm, radii, seed)
-    if builder is superimpose_map:
+    if builder is hookless_superimpose:
         # no hook, so no coefficients to check: every ray is computed
         assert computed == report.total
     else:
@@ -416,13 +426,13 @@ def _failed_simplices(report):
     return [{k: v for k, v in f.items() if k != "growth"} for f in report.failures]
 
 
-@pytest.mark.parametrize("builder", [heisenberg_map, split_map])
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
 @pytest.mark.parametrize("factor", [GROWTH_FACTOR, 10 ** 7])
 def test_hook_path_matches_generic_path(builder, factor):
     # the same map without its hook goes through exact Fraction images; the
     # dens differ, so the logs may differ in the last digits but no verdict may
     cm = builder(3)
-    generic = ConeMap(cm.name, cm.domain, cm.size, cm.__call__)
+    generic = _hookless(cm)
     for run in (
         lambda m: properness_test(m, growth_factor=factor),
         lambda m: divergence_suite(m, pairing="aligned", growth_factor=factor),
@@ -770,7 +780,7 @@ def _fingerprint(report):
     return out, repr(report.min_growth)
 
 
-@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map, hookless_superimpose])
 @pytest.mark.parametrize("pairing", ["aligned", "cross"])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_bound_prefilter_matches_all_exact_suite(builder, pairing, seed, monkeypatch):
@@ -788,8 +798,8 @@ def test_bound_prefilter_matches_all_exact_suite(builder, pairing, seed, monkeyp
         exact_pairs.clear()
         filtered = divergence_suite(cm, seed=seed, pairing=pairing, growth_factor=factor)
         assert _fingerprint(filtered) == _fingerprint(reference)
-        if factor == GROWTH_FACTOR and builder is not superimpose_map:
-            # the bounds decide pairs; superimpose's dens differ between rays
+        if factor == GROWTH_FACTOR and builder is not hookless_superimpose:
+            # the bounds decide pairs; without the hook the dens differ between rays
             assert len(exact_pairs) < filtered.total
         with_rows = divergence_suite(cm, seed=seed, pairing=pairing, growth_factor=factor,
                                      collect_rows=True)
@@ -797,7 +807,7 @@ def test_bound_prefilter_matches_all_exact_suite(builder, pairing, seed, monkeyp
         assert with_rows.rows == reference.rows
 
 
-@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map, hookless_superimpose])
 @pytest.mark.parametrize("ends, factor", [
     ((1, 2 ** 900), GROWTH_FACTOR),  # min_growth about 624
     ((1, 2 ** 2000), GROWTH_FACTOR),  # min_growth past 709, where e^min_growth overflows a float
@@ -891,10 +901,23 @@ def test_bounds_decide_only_pairs_whose_rays_share_their_dens(monkeypatch):
         return _bounded_pass(bounds_a, bounds_b, combos, num, q)
 
     monkeypatch.setattr(conemaps, "_bounded_pass", checked)
-    # superimpose's dens differ between the rays of most simplices
-    report = divergence_suite(superimpose_map(3), pairing="aligned")
+    # without its hook, superimpose's dens differ between the rays of most simplices
+    report = divergence_suite(hookless_superimpose(3), pairing="aligned")
     assert 0 < len(den_keys) < report.total
     assert all(len(k) == 1 for k in den_keys)
+
+
+def test_superimpose_rays_share_one_den_so_the_bounds_decide_its_pairs(monkeypatch):
+    cm = superimpose_map(3)
+    for s in _simplices_sorted(cm.domain):
+        for w in sample_weight_vectors(len(s), 8, 0):
+            assert cm.polynomial(s, w, WEIGHT_TOTAL)[1] == WEIGHT_TOTAL
+    exact_pairs = []
+    monkeypatch.setattr(conemaps, "_pair_verdict", lambda *args: exact_pairs.append(1) or _pair_verdict(*args))
+    for pairing in ("aligned", "cross"):
+        exact_pairs.clear()
+        report = divergence_suite(cm, pairing=pairing)
+        assert report.total == 396 and len(exact_pairs) < 200
 
 
 def test_a_pair_goes_exact_only_when_its_bounds_fall_short(monkeypatch):
