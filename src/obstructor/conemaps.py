@@ -33,7 +33,6 @@ from .exact import (
     int_matmul,
     int_max_abs,
     int_poly_max_abs,
-    log_abs,
     unipotent_adjugate,
 )
 
@@ -105,6 +104,8 @@ class ConeMap:
         """
         if self._scaled is None:
             return None
+        if len(int_weights) != len(simplex):
+            raise ValueError("weights must match the simplex vertices")
         ys, den = self._scaled(simplex, int_weights, total)
         while ys and not any(chain.from_iterable(ys[-1])):
             ys = ys[:-1]
@@ -297,7 +298,7 @@ def d_stat(g: ExactMatrix) -> Fraction:
 
 def size(g: ExactMatrix) -> float:
     """log of the largest entry magnitude over g and its inverse, floored at 0."""
-    return log_abs(d_stat(g))
+    return _log_stat(d_stat(g).as_integer_ratio())
 
 
 def distance(a: ExactMatrix, b: ExactMatrix) -> float:
@@ -309,8 +310,8 @@ def distance(a: ExactMatrix, b: ExactMatrix) -> float:
 # deterministic sampling
 
 @cache
-def sample_weight_vectors(m: int, samples: int = 8, seed: int = 0, total: int = WEIGHT_TOTAL):
-    """Deterministic interior weight vectors (integers over `total`), as a tuple.
+def sample_weight_vectors(m: int, samples: int = 8, seed: int = 0):
+    """Deterministic interior weight vectors (integers over WEIGHT_TOTAL), as a tuple.
 
     The first vector is the barycenter; the rest are seeded random interior
     compositions.  Every entry is >= 1 so the points avoid proper faces.
@@ -320,43 +321,45 @@ def sample_weight_vectors(m: int, samples: int = 8, seed: int = 0, total: int = 
         raise ValueError(f"samples must be at least 1, got {samples}")
     if m == 0:
         return ((),)
-    base, rem = divmod(total, m)
+    base, rem = divmod(WEIGHT_TOTAL, m)
     bary = tuple(base + (1 if i < rem else 0) for i in range(m))
     out = [bary]
     rng = random.Random(f"{seed}|{m}")
     while len(out) < samples:
         a = [1] * m
-        for _ in range(total - m):
+        for _ in range(WEIGHT_TOTAL - m):
             a[rng.randrange(m)] += 1
         out.append(tuple(a))
     return tuple(out)
 
 
 def _prep(cone_map: ConeMap, simplex, m: IntRows, den: int):
-    """(m, m transposed, adj m, den) for the image m/den, which must have det 1."""
+    """(m transposed, adj m, den) for the image m/den, which must have det 1."""
     m_t = tuple(zip(*m))
     adj = int_adjugate(m)
     # the statistics take adj(m)/den^(n-1) for (m/den)^-1, true only at det 1;
     # row 0 of adj(m) times column 0 of m is det(m), which must be den^n
     if sum(map(mul, adj[0], m_t[0])) != den ** len(m):
         raise ValueError(f"{cone_map.name}: the image over {simplex} does not have determinant 1")
-    return m, m_t, adj, den
+    return m_t, adj, den
+
+
+def _ray(cone_map: ConeMap, simplex, weights, radii) -> list[tuple]:
+    """_prep at every radius of the ray of `simplex` at weights `weights` / WEIGHT_TOTAL."""
+    images = cone_map.scaled(simplex, weights, WEIGHT_TOTAL, radii)
+    return [_prep(cone_map, simplex, m, den) for m, den in images]
 
 
 def _sampled_rays(cone_map: ConeMap, simplex, samples: int, seed: int, radii) -> list[list]:
-    """For each sampled weight vector of `simplex`, its _prep at every radius."""
-    rays = []
-    for w in sample_weight_vectors(len(simplex), samples, seed):
-        images = cone_map.scaled(simplex, w, WEIGHT_TOTAL, radii)
-        rays.append([_prep(cone_map, simplex, m, den) for m, den in images])
-    return rays
+    """For each sampled weight vector of `simplex`, its _ray."""
+    return [_ray(cone_map, simplex, w, radii) for w in sample_weight_vectors(len(simplex), samples, seed)]
 
 
 def _pair_stat(prep_a, prep_b) -> tuple[int, int]:
     """(numerator statistic, denominator) of max(|A^-1B|, |B^-1A|, 1)."""
-    ma, ma_t, adja, dena = prep_a
-    mb, mb_t, adjb, denb = prep_b
-    n = len(ma)
+    ma_t, adja, dena = prep_a
+    mb_t, adjb, denb = prep_b
+    n = len(ma_t)
     den = dena ** (n - 1) * denb
     den_ba = denb ** (n - 1) * dena
     s1 = int_matmax(adja, mb_t)
@@ -369,24 +372,23 @@ def _pair_stat(prep_a, prep_b) -> tuple[int, int]:
 
 
 def _ray_stat(prep) -> tuple[int, int]:
-    m, _, adj, den = prep
-    n = len(m)
+    m_t, adj, den = prep
+    n = len(m_t)
     denpow = den ** (n - 1)
-    return max(int_max_abs(m) * den ** (n - 2), int_max_abs(adj), denpow), denpow
+    return max(int_max_abs(m_t) * den ** (n - 2), int_max_abs(adj), denpow), denpow
 
 
 def _ray_stats(cone_map: ConeMap, simplex, weights, radii, poly=None) -> list[tuple[int, int]]:
     """_ray_stat of one sampled ray at each radius.
 
-    A map without a `scaled` hook takes _prep at every radius.  With one,
+    A map without a `scaled` hook takes its _ray, a _prep per radius.  With one,
     its polynomial den I + Y(t) is read once (or given): a nilpotent Y gives det
     1 at every t and the adjugate as a polynomial too, and each radius evaluates
     only the entries of den^(n-2) m(t) and adj(t) that can attain the maximum.
     """
     poly = poly or cone_map.polynomial(simplex, weights, WEIGHT_TOTAL)
     if poly is None:
-        images = cone_map.scaled(simplex, weights, WEIGHT_TOTAL, radii)
-        return [_ray_stat(_prep(cone_map, simplex, m, den)) for m, den in images]
+        return list(map(_ray_stat, _ray(cone_map, simplex, weights, radii)))
     ys, den = poly
     n = cone_map.size
     adj = unipotent_adjugate(n, ys, den)
@@ -436,9 +438,9 @@ def _ray_bounds(ray) -> tuple:
     At the first radius: max |m|, n max |adj m| and den^n.  At the last
     radius: row 0 of adj m, column n-1 of m and den^n.
     """
-    (m, _, adj, den), (_, m_t, adj_last, den_last) = ray[0], ray[-1]
-    n = len(m)
-    return int_max_abs(m), n * int_max_abs(adj), den ** n, adj_last[0], m_t[-1], den_last ** n
+    (m_t, adj, den), (m_t_last, adj_last, den_last) = ray[0], ray[-1]
+    n = len(m_t)
+    return int_max_abs(m_t), n * int_max_abs(adj), den ** n, adj_last[0], m_t_last[-1], den_last ** n
 
 
 def _threshold(growth_factor: int, growth: float) -> tuple[int, int]:
@@ -476,6 +478,11 @@ def _bounded_pass(bounds_a, bounds_b, combos, num: int, q: int) -> bool:
 # ---------------------------------------------------------------------------
 # reports
 
+def _lists(label):
+    """A vertex label with every tuple in it made a list, for JSON."""
+    return list(map(_lists, label)) if isinstance(label, tuple) else label
+
+
 @dataclass
 class PairReport:
     sigma: tuple
@@ -491,8 +498,8 @@ class PairReport:
 
     def to_json(self) -> dict:
         return {
-            "sigma": [[list(p), s] for p, s in self.sigma],
-            "tau": [[list(p), s] for p, s in self.tau],
+            "sigma": _lists(self.sigma),
+            "tau": _lists(self.tau),
             "radii": list(self.radii),
             "d": [round(d, 4) for d in self.d_curve],
             "growth": round(self.growth, 4),

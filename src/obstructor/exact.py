@@ -30,8 +30,8 @@ class ExactMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def from_entries(cls, n: int, entries: dict, diagonal=1) -> "ExactMatrix":
-        rows = [[Fraction(diagonal) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    def from_entries(cls, n: int, entries: dict) -> "ExactMatrix":
+        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         for (i, j), v in entries.items():
             rows[i - 1][j - 1] = Fraction(v)
         return cls(rows)
@@ -67,10 +67,7 @@ class ExactMatrix:
 
     def scaled_int(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(den * self) as an integer matrix together with den."""
-        den = 1
-        for row in self.rows:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for row in self.rows for x in row))
         scaled = tuple(
             tuple(int(x.numerator * (den // x.denominator)) for x in row) for row in self.rows
         )
@@ -79,13 +76,6 @@ class ExactMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"ExactMatrix[{body}]"
-
-
-def log_abs(x: Fraction) -> float:
-    """log |x| computed from integer parts (safe for huge values)."""
-    if x == 0:
-        raise ValueError("log of zero")
-    return math.log(abs(x.numerator)) - math.log(x.denominator)
 
 
 # integer matrix helpers (used by the certification fast paths) ----------------

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from decimal import Decimal, localcontext
@@ -297,6 +298,22 @@ def test_scaled_validates_the_simplex():
             cm.scaled((((1, 2), 1), ((1, 2), -1)), (30, 30), WEIGHT_TOTAL, (1,))
 
 
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+def test_hooks_refuse_weights_that_do_not_match_the_simplex(builder):
+    # the hooks zip the simplex with its weights: one weight too few or too
+    # many would drop a vertex, or a weight, without a word
+    cm = builder(3)
+    simplex = (((1, 2), 1), ((1, 3), 1))
+    for weights in ((WEIGHT_TOTAL,), (20, 20, 20)):
+        with pytest.raises(ValueError, match="weights must match the simplex vertices"):
+            cm.scaled(simplex, weights, WEIGHT_TOTAL, (1,))
+        with pytest.raises(ValueError, match="weights must match the simplex vertices"):
+            cm.polynomial(simplex, weights, WEIGHT_TOTAL)
+        # as the exact path refuses the same cone point
+        with pytest.raises(ValueError, match="weights must match the simplex vertices"):
+            _hookless(cm).scaled(simplex, weights, WEIGHT_TOTAL, (1,))
+
+
 ORDER_DOMAINS = {
     **{f"heisenberg_domain({n})": heisenberg_domain(n) for n in (2, 3, 4)},
     **{f"obstructor_subcomplex({n})": obstructor_subcomplex(n) for n in (2, 3, 4)},
@@ -474,6 +491,22 @@ def test_divergence_test_basic():
     assert rep.status == "INADMISSIBLE"
 
 
+def test_pair_reports_serialize_every_vertex_label():
+    rep = divergence_test(heisenberg_map(3), (((1, 2), 1), ((2, 3), 1)), (((1, 3), -1),),
+                          radii=(1, 16, 2 ** 20), samples=2)
+    assert rep.to_json() == {
+        "sigma": [[[1, 2], 1], [[2, 3], 1]], "tau": [[[1, 3], -1]], "radii": [1, 16, 2 ** 20],
+        "d": [0.0, 3.8697, 26.3385], "growth": 26.3385, "verdict": "PASS",
+    }
+    # a fibration's vertices are (factor, vertex of that factor)
+    f = fibration_compose(heisenberg_map(2), heisenberg_map(2), section=lambda g: g, embed=lambda g: g)
+    rep = divergence_test(f, ((0, ((1, 2), 1)), (1, ((1, 2), -1))), ((0, ((1, 2), -1)),),
+                          radii=(1, 2 ** 20), samples=2)
+    out = json.loads(json.dumps(rep.to_json()))
+    assert (out["sigma"], out["tau"]) == ([[0, [[1, 2], 1]], [1, [[1, 2], -1]]], [[0, [[1, 2], -1]]])
+    assert out["verdict"] == "PASS"
+
+
 def test_superimpose_counterexample_and_split_fix():
     # under the naive single-matrix map the cones on <12+,23+,13+> and
     # <13-,32+> contain sequences that stay a bounded distance apart; the
@@ -618,7 +651,7 @@ def test_adjoint_component_examples():
     assert adjoint_component(g, (1, 3), (1, 3)) == 1
     assert adjoint_component(g, (1, 3), (2, 3)) == 0
     t = Fraction(7, 2)
-    g = exp_nilpotent(ExactMatrix.from_entries(3, {(2, 1): t}, diagonal=0))
+    g = exp_nilpotent(ExactMatrix([[0, 0, 0], [t, 0, 0], [0, 0, 0]]))
     assert adjoint_component(g, (1, 3), (2, 3)) == t
     d = ExactMatrix([[2, 0, 0], [0, 5, 0], [0, 0, Fraction(1, 10)]])
     for i in range(1, 4):
@@ -694,7 +727,7 @@ def test_lhs_component_linear_in_t():
 
 
 def test_exp_nilpotent():
-    x = ExactMatrix.from_entries(3, {(1, 2): 2, (2, 3): 3}, diagonal=0)
+    x = ExactMatrix([[0, 2, 0], [0, 0, 3], [0, 0, 0]])
     e = exp_nilpotent(x)
     assert e == ExactMatrix([[1, 2, 3], [0, 1, 3], [0, 0, 1]])
     with pytest.raises(ValueError):
@@ -841,7 +874,7 @@ def test_bound_prefilter_leaves_the_first_pair_exact():
 
 def _prep_of(m, den):
     # the _prep tuple without its determinant check: the bounds do not need det 1
-    return m, tuple(zip(*m)), int_adjugate(m), den
+    return tuple(zip(*m)), int_adjugate(m), den
 
 
 @st.composite
@@ -996,7 +1029,7 @@ def _factors(ratios):
     return (GROWTH_FACTOR, low, low + 1)
 
 
-@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map, hookless_superimpose])
 def test_divergence_test_matches_fraction_oracle(builder):
     cm = builder(3)
     rng = random.Random(f"oracle|{builder.__name__}")
@@ -1017,7 +1050,7 @@ def test_divergence_test_matches_fraction_oracle(builder):
         assert verdicts[1:] == ["PASS", "FAIL"]
 
 
-@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map, hookless_superimpose])
 def test_properness_test_matches_fraction_oracle(builder):
     cm = builder(3)
     for seed in (0, 5):
