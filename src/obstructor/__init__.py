@@ -30,7 +30,6 @@ from .complexes import (
     is_isomorphic_via,
     join,
     join_sphere,
-    obstructor_m,
     obstructor_subcomplex,
     column_factor_map,
     signed_double,
@@ -50,7 +49,6 @@ from .conemaps import (
     distance,
     divergence_suite,
     divergence_test,
-    exp_nilpotent,
     fibration_compose,
     heisenberg_map,
     properness_test,

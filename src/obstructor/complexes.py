@@ -325,8 +325,3 @@ class ObstructorShape:
             parts.append(f"S^{self.sphere_dim}")
         parts.extend(f"S^{k}+" for k in self.plus_dims)
         return " * ".join(parts) if parts else "(empty)"
-
-
-def obstructor_m(shape: ObstructorShape) -> int:
-    """The obstruction degree of the join shape."""
-    return shape.m

@@ -23,7 +23,7 @@ from functools import cache
 from itertools import chain, combinations, product, repeat
 from operator import add, mul
 
-from .complexes import SimplicialComplex, is_acyclic, obstructor_subcomplex
+from .complexes import SimplicialComplex, is_acyclic, obstructor_subcomplex, sphere_preimage
 from .exact import (
     DimensionMismatch,
     ExactMatrix,
@@ -72,12 +72,6 @@ class ConePoint:
             raise ValueError("weights must sum to 1")
         if self.t < 0:
             raise ValueError("radius must be nonnegative")
-
-    @classmethod
-    def barycenter(cls, simplex, t) -> "ConePoint":
-        simplex = tuple(sorted(simplex))
-        m = len(simplex)
-        return cls(simplex, tuple(Fraction(1, m) for _ in simplex), Fraction(t))
 
 
 class ConeMap:
@@ -164,13 +158,10 @@ def _signed_entries(n: int, simplex, weights, t, above_only: bool) -> dict:
 
 
 def heisenberg_domain(n: int) -> SimplicialComplex:
-    """Sphere on the above-diagonal positions, as a join of 0-spheres."""
-    positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    facets = [
-        frozenset((p, s) for p, s in zip(positions, signs))
-        for signs in product((1, -1), repeat=len(positions))
-    ]
-    return SimplicialComplex.from_facets(facets, assume_maximal=True)
+    """Sphere on the above-diagonal positions: the signed double of their one simplex."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return sphere_preimage((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 def _int_matrix(n: int, entries: dict) -> IntRows:
@@ -837,19 +828,3 @@ def adjoint_component(g: ExactMatrix, source: tuple[int, int], target: tuple[int
         raise BadVertex("positions must be off-diagonal")
     ginv = g.inverse()
     return g[k, i] * ginv[j, l]
-
-
-def exp_nilpotent(x: ExactMatrix) -> ExactMatrix:
-    """exp of a nilpotent matrix (the series terminates; exact)."""
-    n = x.n
-    out = ExactMatrix.identity(n)
-    term = ExactMatrix.identity(n)
-    for k in range(1, n + 1):
-        term = term @ x
-        if all(v == 0 for row in term.rows for v in row):
-            break
-        out = ExactMatrix([[o + t / math.factorial(k) for o, t in zip(orow, trow)] for orow, trow in zip(out.rows, term.rows)])
-    else:
-        if any(v != 0 for row in (term @ x).rows for v in row):
-            raise ValueError("matrix is not nilpotent")
-    return out

@@ -31,8 +31,11 @@ class ExactMatrix:
 
     @classmethod
     def from_entries(cls, n: int, entries: dict) -> "ExactMatrix":
+        """The identity with `entries` at 1-based positions (i, j), each in 1..n."""
         rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         for (i, j), v in entries.items():
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"position ({i},{j}) is outside 1..{n}")
             rows[i - 1][j - 1] = Fraction(v)
         return cls(rows)
 

@@ -227,6 +227,8 @@ def test_cli_usage_errors(capsys):
     ]:
         assert main(["lemma25", "--n", "3", *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["diverge", "--map", "heisenberg", "--n", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: need n >= 2\n")
 
 
 def test_cli_save_respects_output_dir(tmp_path, monkeypatch, capsys):

@@ -18,7 +18,6 @@ from obstructor import (
     is_isomorphic_via,
     join,
     join_sphere,
-    obstructor_m,
     obstructor_subcomplex,
     signed_double,
     sphere_betti,
@@ -189,12 +188,12 @@ def test_empty_facet_is_dropped():
 
 
 def test_obstructor_m_examples():
-    assert obstructor_m(ObstructorShape(None, (0, 1))) == 3
+    assert ObstructorShape(None, (0, 1)).m == 3
     for n in range(2, 10):
-        assert obstructor_m(ObstructorShape(None, tuple(range(n - 1)))) == n * (n + 1) // 2 - 3
+        assert ObstructorShape(None, tuple(range(n - 1))).m == n * (n + 1) // 2 - 3
     for n in range(2, 8):
         shape = ObstructorShape(n - 2, tuple(range(1, 2 * n - 2, 2)))
-        assert obstructor_m(shape) == n * n + n - 4
+        assert shape.m == n * n + n - 4
 
 
 def test_obstructor_m_monotone():

@@ -22,7 +22,6 @@ from obstructor import (
     distance,
     divergence_suite,
     divergence_test,
-    exp_nilpotent,
     fibration_compose,
     heisenberg_map,
     obstructor_subcomplex,
@@ -64,12 +63,28 @@ def test_heisenberg_basics():
     assert h(ConePoint((), (), 7)) == ExactMatrix.identity(3)
     p = ConePoint((((1, 2), 1),), (1,), 5)
     assert h(p) == ExactMatrix.from_entries(3, {(1, 2): 5})
-    q = ConePoint.barycenter([((1, 2), 1), ((1, 3), -1)], 4)
+    q = ConePoint((((1, 2), 1), ((1, 3), -1)), (Fraction(1, 2), Fraction(1, 2)), 4)
     assert h(q) == ExactMatrix.from_entries(3, {(1, 2): 2, (1, 3): -2})
     with pytest.raises(BadVertex):
         h(ConePoint((((2, 1), 1),), (1,), 1))
     with pytest.raises(BadVertex):
         h(ConePoint((((1, 1), 1),), (1,), 1))
+
+
+def test_heisenberg_domain_is_every_sign_choice_on_the_positions():
+    for n in range(2, 5):
+        positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        facets = {frozenset(zip(positions, signs)) for signs in product((1, -1), repeat=len(positions))}
+        x = heisenberg_domain(n)
+        assert set(x.facets) == facets and len(x.facets) == len(facets)
+        assert sorted(x.vertices) == sorted((p, s) for p in positions for s in (1, -1))
+
+
+def test_maps_refuse_n_below_2():
+    for builder in (heisenberg_map, split_map, superimpose_map):
+        for n in (1, 0, -1):
+            with pytest.raises(ValueError, match="need n >= 2"):
+                builder(n)
 
 
 def test_heisenberg_symbolic_difference_grows():
@@ -651,7 +666,7 @@ def test_adjoint_component_examples():
     assert adjoint_component(g, (1, 3), (1, 3)) == 1
     assert adjoint_component(g, (1, 3), (2, 3)) == 0
     t = Fraction(7, 2)
-    g = exp_nilpotent(ExactMatrix([[0, 0, 0], [t, 0, 0], [0, 0, 0]]))
+    g = ExactMatrix.from_entries(3, {(2, 1): t})  # I + t E_21
     assert adjoint_component(g, (1, 3), (2, 3)) == t
     d = ExactMatrix([[2, 0, 0], [0, 5, 0], [0, 0, Fraction(1, 10)]])
     for i in range(1, 4):
@@ -724,14 +739,6 @@ def test_lhs_component_linear_in_t():
             vals.append(adjoint_component(g, (2, 1), (3, 1)))
         assert vals[0] == 0
         assert all(vals[k] == slope * t for k, t in zip(range(4), (0, 1, 2, 5)))
-
-
-def test_exp_nilpotent():
-    x = ExactMatrix([[0, 2, 0], [0, 0, 3], [0, 0, 0]])
-    e = exp_nilpotent(x)
-    assert e == ExactMatrix([[1, 2, 3], [0, 1, 3], [0, 0, 1]])
-    with pytest.raises(ValueError):
-        exp_nilpotent(ExactMatrix.identity(2))
 
 
 def test_size_equals_size_of_inverse():

@@ -110,6 +110,12 @@ def test_from_entries_and_indexing():
     assert m[3, 1] == 0
 
 
+@pytest.mark.parametrize("pos", [(0, 1), (-1, 2), (4, 1), (1, 0)])
+def test_from_entries_refuses_positions_outside_1_to_n(pos):
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        ExactMatrix.from_entries(3, {pos: 5})
+
+
 @given(st.lists(st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=1, max_size=5), min_size=1, max_size=5))
 def test_int_max_abs_matches_definition(rows):
     best = 0
