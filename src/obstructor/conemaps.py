@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, cycle, groupby, product, repeat
 from operator import add, mul
 
 from .complexes import SimplicialComplex, is_acyclic, obstructor_subcomplex, sphere_preimage
@@ -559,35 +559,6 @@ def _simplices_sorted(domain: SimplicialComplex):
             for s in sorted(layer, key=lambda s: sorted(map(reprs.__getitem__, s)))]
 
 
-def _sign_orbits(simplices, n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Per simplex: the index of the first simplex of its sign orbit, and the
-    flat n x n sign pattern d_i d_j that carries that first one to it.
-
-    d in {+-1}^n with d_1 = 1 acts on a vertex ((i, j), s), 1 <= i != j <= n,
-    by s -> s d_i d_j, conjugation by diag(d); a simplex with any other vertex
-    is its own orbit.  An image may leave the list (on L(n), ((k, k-1), +)
-    stays a vertex only when d_k = d_(k-1)); the orbit is the images that
-    stay, so the first simplex of an orbit, in list order, claims all of it.
-    """
-    index = {s: k for k, s in enumerate(simplices)}
-    positions = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
-    signs = [(1, *d) for d in product((1, -1), repeat=n - 1)]
-    patterns = [tuple(a * b for a in d for b in d) for d in signs]  # patterns[0] is all 1
-    orbits = [None] * len(simplices)
-    for k, simplex in enumerate(simplices):
-        if orbits[k] is not None:
-            continue
-        orbits[k] = (k, patterns[0])
-        if not all(isinstance(v, tuple) and len(v) == 2 and v[0] in positions and v[1] in (1, -1)
-                   for v in simplex):
-            continue
-        for d, pattern in zip(signs, patterns):
-            image = index.get(tuple(sorted(((i, j), s * d[i - 1] * d[j - 1]) for (i, j), s in simplex)))
-            if image is not None and orbits[image] is None:
-                orbits[image] = (k, pattern)
-    return orbits
-
-
 def divergence_test(
     cone_map: ConeMap,
     sigma,
@@ -643,10 +614,11 @@ def divergence_suite(
     and a growth that cannot lower min_growth, so the report is the one the
     exact statistic gives for every pair.
 
-    A PASS covers the sampled fixed-weight rays only: sequences whose
-    weights drift toward a face are not seen.  The bounded drifting
-    sequences of superimpose_map(3) known so far use a tau that is not a
-    simplex of its domain, so its 396/396 PASS is not known to be false.
+    On heisenberg, split and superimpose maps the t-linear part of A^-1 B
+    is t c (N_tau - N_sigma), nonzero for disjoint nonempty sigma and tau,
+    so every fixed-weight pair diverges; a PASS adds only the growth by the
+    factor between the first and last radius.  Expansion can fail only for
+    sequences whose weights drift toward a face, which are not sampled.
     Images must have determinant 1 (ValueError otherwise).
     """
     if pairing not in ("aligned", "cross"):
@@ -680,11 +652,8 @@ def divergence_suite(
             threshold = _threshold(growth_factor, growth)
         report.record(ok, growth, {"sigma": repr_a, "tau": repr_b, "growth": round(growth, 4)})
         if collect_rows:
-            report.rows.append({
-                "sigma": repr_a, "tau": repr_b, "radii": list(ends),
-                "d": [round(d_first, 4), round(d_last, 4)], "growth": round(growth, 4),
-                "verdict": "PASS" if ok else "FAIL",
-            })
+            verdict = "PASS" if ok else "FAIL"
+            report.rows.append(PairReport(repr_a, repr_b, ends, [d_first, d_last], growth, verdict).to_json())
     report.elapsed_s = time.perf_counter() - t0
     return report
 
@@ -708,43 +677,44 @@ def properness_test(
     Images must have determinant 1, and a hook's Y(t) must be nilpotent,
     checked once per ray (ValueError otherwise).
 
-    A hook map's ray on a simplex that is not first in its sign orbit
-    (_sign_orbits) takes the verdict of the same sample on the first one once
-    its den is equal and its coefficients are the first one's times the sign
-    pattern d_i d_j; any other ray is computed.  Then Y'(t) = D Y(t) D with
-    D = diag(d) = D^-1, so what the statistic reads, den^(n-2) (den I + Y'(t))
-    and adj = sum_k (-1)^k den^(n-1-k) Y'(t)^k, is the first one's conjugated
-    by D, which flips only entry signs: every per-radius integer is equal, and
-    so are the monotone verdict, the growth and the failure record, which
-    keeps this simplex's label.  Orbits never cross sizes, so only the first
-    members of the current size are kept.
+    A hook map's ray takes the verdict of an earlier ray of the same simplex
+    size with an equal key: den, and the flat coefficients times the sign
+    pattern d_i d_j (d in {+-1}^n) that makes that product least on the
+    first hook ray of the simplex.  Equal keys give Y'(t) = D Y(t) D with D
+    a diagonal sign matrix, whichever patterns were picked, so what the
+    statistic reads, den^(n-2) (den I + Y(t)) and adj = sum_k (-1)^k
+    den^(n-1-k) Y(t)^k, changes only in entry signs: every per-radius
+    integer is equal, and so are the monotone verdict, the growth and the
+    failure record, which keeps this ray's simplex.  Hookless rays are all
+    computed.
     """
     t0 = time.perf_counter()
     radii = tuple(radii) if radii is not None else default_radii()
     _check_radii(radii)
     report = SuiteReport(cone_map.name, "properness", sampling="rays")
-    simplices = _simplices_sorted(cone_map.domain)
-    kept = {}  # first orbit member -> each ray's (key, verdict)
-    for k, (s, (first, signs)) in enumerate(zip(simplices, _sign_orbits(simplices, cone_map.size))):
-        if k and len(s) != len(simplices[k - 1]):
-            kept.clear()
-        label = repr(s)
-        rays = kept.setdefault(first, [])
-        for r, w in enumerate(sample_weight_vectors(len(s), samples, seed)):
-            poly = cone_map.polynomial(s, w, WEIGHT_TOTAL)
-            # den and the flat coefficients times the signs: a first member's own
-            # coefficients, and the same for every member that may reuse its verdict
-            key = poly and (poly[1], [tuple(map(mul, chain.from_iterable(y), signs)) for y in poly[0]])
-            if first < k and poly and rays[r][0] == key:
-                ok, growth, monotone = rays[r][1]
-            else:
-                stats = _ray_stats(cone_map, s, w, radii, poly)
-                monotone = all(map(_grew, stats, stats[1:], repeat(1)))
-                growth = _log_stat(stats[-1]) - _log_stat(stats[0])
-                ok = monotone and _grew(stats[0], stats[-1], growth_factor)
-            if first == k:
-                rays.append((key, (ok, growth, monotone)))
-            report.record(ok, growth, {"simplex": label, "monotone": monotone, "growth": round(growth, 4)})
+    n = cone_map.size
+    patterns = [tuple(a * b for a in d for b in d) for d in product((1, -1), repeat=n) if d[0] == 1]
+    for _, layer in groupby(_simplices_sorted(cone_map.domain), len):
+        seen = {}  # key -> (ok, growth, monotone) over this simplex size
+        for s in layer:
+            label, signs = repr(s), None
+            for w in sample_weight_vectors(len(s), samples, seed):
+                poly = cone_map.polynomial(s, w, WEIGHT_TOTAL)
+                key = None
+                if poly:
+                    flat = tuple(chain.from_iterable(chain.from_iterable(poly[0])))
+                    signs = signs or min(patterns, key=lambda p: tuple(map(mul, flat, cycle(p))))
+                    key = poly[1], tuple(map(mul, flat, cycle(signs)))
+                verdict = seen.get(key)
+                if verdict is None:
+                    stats = _ray_stats(cone_map, s, w, radii, poly)
+                    monotone = all(map(_grew, stats, stats[1:], repeat(1)))
+                    growth = _log_stat(stats[-1]) - _log_stat(stats[0])
+                    verdict = monotone and _grew(stats[0], stats[-1], growth_factor), growth, monotone
+                    if poly:
+                        seen[key] = verdict
+                ok, growth, monotone = verdict
+                report.record(ok, growth, {"simplex": label, "monotone": monotone, "growth": round(growth, 4)})
     report.elapsed_s = time.perf_counter() - t0
     return report
 

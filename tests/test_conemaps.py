@@ -40,6 +40,7 @@ from obstructor.conemaps import (
     heisenberg_domain,
     _bounded_pass,
     _grew,
+    _int_matrix,
     _log_stat,
     _pair_stat,
     _pair_verdict,
@@ -48,7 +49,6 @@ from obstructor.conemaps import (
     _ray_stat,
     _ray_stats,
     _sampled_rays,
-    _sign_orbits,
     _simplices_sorted,
     _threshold,
     sample_weight_vectors,
@@ -346,7 +346,8 @@ def test_simplices_sorted_keeps_the_order_by_size_and_vertex_reprs(name):
     assert _simplices_sorted(domain) == [tuple(sorted(s)) for s in ordered]
 
 
-# properness reuses one ray per sign orbit
+# properness reuses a verdict between rays whose den is equal and whose
+# coefficients are conjugate by a diagonal sign matrix
 
 def _reference_properness(cm, radii, seed):
     """properness_test with one _ray_stats per ray and no reuse."""
@@ -380,6 +381,21 @@ def _rays_and_computed(monkeypatch, cm, radii, seed):
     return report, len(computed)
 
 
+def _sign_classes(cm, seed, samples=8):
+    """Brute force: the distinct (simplex size, den, set of every d_i d_j
+    image of the flat coefficients, d in {+-1}^n) over the sampled rays."""
+    n = cm.size
+    patterns = [[a * b for a in d for b in d] for d in product((1, -1), repeat=n)]
+    classes = set()
+    for s in _simplices_sorted(cm.domain):
+        for w in sample_weight_vectors(len(s), samples, seed):
+            ys, den = cm.polynomial(s, w, WEIGHT_TOTAL)
+            flat = [v for y in ys for row in y for v in row]
+            images = frozenset(tuple(v * p[k % (n * n)] for k, v in enumerate(flat)) for p in patterns)
+            classes.add((len(s), den, images))
+    return len(classes)
+
+
 @pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map, hookless_superimpose])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("seed", [0, 3])
@@ -388,23 +404,31 @@ def test_properness_reuse_matches_one_ray_stats_per_ray(builder, n, seed, radii,
     cm = builder(n)
     report, computed = _rays_and_computed(monkeypatch, cm, radii, seed)
     if builder is hookless_superimpose:
-        # no hook, so no coefficients to check: every ray is computed
+        # no hook, so no coefficients to key on: every ray is computed
         assert computed == report.total
     else:
-        simplices = _simplices_sorted(cm.domain)
-        firsts = sum(first == k for k, (first, _) in enumerate(_sign_orbits(simplices, n)))
-        assert computed == 8 * firsts < report.total
+        assert computed == _sign_classes(cm, seed) < report.total
 
 
 def test_properness_reuse_keeps_the_seed_3_failures_of_heisenberg_4(monkeypatch):
     report, computed = _rays_and_computed(monkeypatch, heisenberg_map(4), None, 3)
     assert report.failed == len(report.failures) == 8
-    assert computed == 8 * 107
+    assert computed == 799
 
 
-def test_properness_refuses_reuse_on_a_hook_that_is_not_sign_equivariant(monkeypatch):
+@pytest.mark.parametrize("builder, computed", [(heisenberg_map, 107), (split_map, 228)])
+def test_properness_with_one_sample_computes_one_ray_per_sign_class(builder, computed, monkeypatch):
+    # the barycenter only: one ray per simplex, up to the signs of its vertices
+    calls = []
+    monkeypatch.setattr(conemaps, "_ray_stats", lambda *args: calls.append(1) or _ray_stats(*args))
+    cm = builder(4)
+    report = properness_test(cm, samples=1)
+    assert len(calls) == computed == _sign_classes(cm, 0, samples=1) < report.total
+
+
+def test_properness_reuse_stays_exact_on_a_hook_that_is_not_sign_equivariant(monkeypatch):
     # weight w on a + entry and 2w on a - entry: nilpotent, but flipping a
-    # sign is not conjugation by a sign matrix, so no coefficient check passes
+    # vertex's sign is not conjugation by a sign matrix
     def hook(simplex, int_weights, total):
         rows = [[0] * 3 for _ in range(3)]
         for ((i, j), s), a in zip(simplex, int_weights):
@@ -412,36 +436,47 @@ def test_properness_refuses_reuse_on_a_hook_that_is_not_sign_equivariant(monkeyp
         return (tuple(map(tuple, rows)),), total
 
     cm = ConeMap("lopsided", heisenberg_domain(3), 3, lambda p: ExactMatrix.identity(3), hook)
-    for seed in (0, 3):
+    for seed, classes in ((0, 142), (3, 154)):
         report, computed = _rays_and_computed(monkeypatch, cm, None, seed)
-        assert computed == report.total == 8 * 26
+        assert computed == _sign_classes(cm, seed) == classes and report.total == 8 * 26
 
 
-SIGN_DOMAINS = {
-    "heisenberg_domain(4)": (heisenberg_domain(4), 4, 728, 107),
-    "obstructor_subcomplex(4)": (obstructor_subcomplex(4), 4, 1119, 228),
-    "fibration(heisenberg(3),split(3))": (ORDER_DOMAINS["fibration(heisenberg(3),split(3))"], 3, None, None),
-}
+def test_properness_reuse_keys_on_den_too(monkeypatch):
+    # the coefficients are the vertex signs alone and only den follows the
+    # weights, so every sample of a simplex shares its coefficients
+    def hook(simplex, int_weights, total):
+        return (_int_matrix(3, {p: s for p, s in simplex}),), total + int_weights[0]
+
+    cm = ConeMap("den-only", heisenberg_domain(3), 3, lambda p: ExactMatrix.identity(3), hook)
+    for seed in (0, 3):
+        report, computed = _rays_and_computed(monkeypatch, cm, (1, 16, 2 ** 20), seed)
+        assert computed == _sign_classes(cm, seed) < report.total
 
 
-@pytest.mark.parametrize("name", SIGN_DOMAINS)
-def test_sign_orbits_and_their_patterns(name):
-    domain, n, size, orbits = SIGN_DOMAINS[name]
-    simplices = _simplices_sorted(domain)
-    found = _sign_orbits(simplices, n)
-    firsts = [k for k, (first, _) in enumerate(found) if first == k]
-    if orbits is None:
-        # vertices of another form are each their own orbit
-        assert found == [(k, (1,) * (n * n)) for k in range(len(simplices))]
-        return
-    assert (len(simplices), len(firsts)) == (size, orbits)
-    for k, (first, signs) in enumerate(found):
-        assert first <= k and len(simplices[first]) == len(simplices[k])
-        image = [((i, j), s * signs[(i - 1) * n + j - 1]) for (i, j), s in simplices[first]]
-        assert image == list(simplices[k])
-        # the pattern is d_i d_j for a d with d_1 = 1
-        d = signs[:n]
-        assert d[0] == 1 and signs == tuple(a * b for a in d for b in d)
+@st.composite
+def _nilpotent_polys(draw):
+    n = draw(st.sampled_from((3, 4)))
+    # an acyclic support: above the diagonal of a permuted order
+    order = draw(st.permutations(range(n)))
+    ys = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = [[0] * n for _ in range(n)]
+        for a, b in combinations(range(n), 2):
+            rows[order[a]][order[b]] = draw(st.integers(-2 ** 40, 2 ** 40))
+        ys.append(tuple(map(tuple, rows)))
+    d = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    radii = draw(st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=4))
+    return n, tuple(ys), draw(st.integers(1, 2 ** 20)), d, radii
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nilpotent_polys())
+def test_ray_stats_are_invariant_under_conjugation_by_a_sign_matrix(case):
+    n, ys, den, d, radii = case
+    conjugate = tuple(tuple(tuple(v * d[i] * d[j] for j, v in enumerate(row)) for i, row in enumerate(y))
+                      for y in ys)
+    cm, s, w = heisenberg_map(n), (((1, 2), 1),), (WEIGHT_TOTAL,)
+    assert _ray_stats(cm, s, w, radii, (ys, den)) == _ray_stats(cm, s, w, radii, (conjugate, den))
 
 
 def test_sample_weight_vectors_is_memoized_and_still_refuses():
