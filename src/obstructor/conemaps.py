@@ -52,6 +52,25 @@ def default_radii() -> tuple[int, ...]:
     return tuple(2 ** j for j in range(21))
 
 
+def _check_weights(simplex, weights, total) -> None:
+    """Refuse weights that are not one nonnegative weight per vertex, or
+    whose sum is not `total`: weights / total are a cone point's."""
+    if len(simplex) != len(weights):
+        raise ValueError("weights must match the simplex vertices")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    if simplex and sum(weights) != total:
+        raise ValueError("weights must sum to 1")
+
+
+def _check_radii(radii) -> None:
+    """Refuse an empty schedule and a negative radius, for every map and every cone point."""
+    if not radii:
+        raise ValueError("the radius schedule is empty")
+    if any(t < 0 for t in radii):
+        raise ValueError("radius must be nonnegative")
+
+
 @dataclass(frozen=True)
 class ConePoint:
     """A point of the open cone: simplex vertices, weights summing to 1, radius."""
@@ -64,14 +83,8 @@ class ConePoint:
         object.__setattr__(self, "simplex", tuple(self.simplex))
         object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
         object.__setattr__(self, "t", Fraction(self.t))
-        if len(self.simplex) != len(self.weights):
-            raise ValueError("weights must match the simplex vertices")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if self.simplex and sum(self.weights) != 1:
-            raise ValueError("weights must sum to 1")
-        if self.t < 0:
-            raise ValueError("radius must be nonnegative")
+        _check_weights(self.simplex, self.weights, 1)
+        _check_radii((self.t,))
 
 
 class ConeMap:
@@ -87,39 +100,36 @@ class ConeMap:
     def __call__(self, point: ConePoint) -> ExactMatrix:
         return self._evaluate(point)
 
-    def polynomial(self, simplex, int_weights, total) -> tuple[tuple[IntRows, ...], int] | None:
+    def polynomial(self, simplex, int_weights) -> tuple[tuple[IntRows, ...], int] | None:
         """(ys, den) with den * image(t) = den I + sum_k ys[k-1] t^k, or None without a hook.
 
-        Weights are int_weights / total.  The hook validates the simplex and
-        returns the integer matrix coefficients of t, t^2, ... in Y(t); all-zero
-        top coefficients, such as N_U N_L on split domains, are dropped here.
-        Every reader gets the contract enforced, ValueError otherwise: Y is
-        nilpotent, by an acyclic support of the coefficients or else Y^n = 0.
+        Weights are int_weights / WEIGHT_TOTAL, refused as ConePoint refuses
+        them.  The hook validates the simplex and returns the integer matrix
+        coefficients of t, t^2, ... in Y(t).  Every reader gets the contract
+        enforced, ValueError otherwise: Y is nilpotent, by an acyclic support
+        of the coefficients or else Y^n = 0.
         """
         if self._scaled is None:
             return None
-        if len(int_weights) != len(simplex):
-            raise ValueError("weights must match the simplex vertices")
-        ys, den = self._scaled(simplex, int_weights, total)
-        while ys and not any(chain.from_iterable(ys[-1])):
-            ys = ys[:-1]
+        _check_weights(simplex, int_weights, WEIGHT_TOTAL)
+        ys, den = self._scaled(simplex, int_weights, WEIGHT_TOTAL)
         support = {(i, j) for y in ys for i, row in enumerate(y) for j, v in enumerate(row) if v}
         if not is_acyclic(support) and unipotent_adjugate(self.size, ys, den) is None:
             raise ValueError(f"{self.name}: the hook's Y(t) over {simplex} is not nilpotent, so "
                              "den*I + Y(t) is not certified to have determinant 1")
         return ys, den
 
-    def scaled(self, simplex, int_weights, total, radii) -> list[tuple[IntRows, int]]:
+    def scaled(self, simplex, int_weights, radii) -> list[tuple[IntRows, int]]:
         """(den * image, den) of the ray at each integer radius in `radii`.
 
-        Weights are int_weights / total.  A map with a `scaled` hook builds
-        the ray once, as its `polynomial`, and evaluates that at each
+        Weights are int_weights / WEIGHT_TOTAL.  A map with a `scaled` hook
+        builds the ray once, as its `polynomial`, and evaluates that at each
         radius.  Without a hook each radius is evaluated exactly and scaled
         to integers.
         """
-        poly = self.polynomial(simplex, int_weights, total)
+        poly = self.polynomial(simplex, int_weights)
         if poly is None:
-            ws = tuple(Fraction(a, total) for a in int_weights)
+            ws = tuple(Fraction(a, WEIGHT_TOTAL) for a in int_weights)
             return [self._evaluate(ConePoint(tuple(simplex), ws, Fraction(t))).scaled_int() for t in radii]
         ys, den = poly
         n = self.size
@@ -216,8 +226,10 @@ def split_map(n: int) -> ConeMap:
         upper, lower = _split_parts(n, simplex, int_weights, 1)
         mid = {pos: total * v for pos, v in chain(upper.items(), lower.items())}
         ys = (_int_matrix(n, mid),)
-        # N_U N_L is zero unless an upper column index meets a lower row
-        # index, as on no simplex of the split domains
+        # N_U N_L is zero unless an upper (i, k) meets a lower (k, l).  The
+        # only lower vertices of L(n) are the added points ((k, k-1), +), and
+        # a simplex takes column k's sphere or its point, never both, so this
+        # term appears only off the domain
         if {j for _, j in upper} & {i for i, _ in lower}:
             ys += (int_matmul(_int_matrix(n, upper), _int_matrix(n, lower)),)
         return ys, total * total
@@ -229,10 +241,12 @@ def superimpose_map(n: int) -> ConeMap:
     """The naive map placing every signed entry in a single matrix: the
     construction of heisenberg_map on the domain of split_map.
 
-    Kept as a foil: on <12+,23+,13+> and <13-,32+> it has cones with
-    bounded pairs of drifting sequences, but <13-,32+> is not a simplex of
-    the domain (13- lies on the column-3 sphere and 32+ is that column's
-    added point), so no failure of divergence on the domain itself is known.
+    On that domain it is split_map: no simplex of L(n) meets the t^2 term
+    N_U N_L (see split_map), so U L = I + t N / total, its image, on every
+    simplex.  The two maps differ only off the domain, where its bounded
+    pairs of drifting sequences live: its cones on <12+,23+,13+> and
+    <13-,32+> hold such pairs, and <13-,32+> is not a simplex of L(3), since
+    13- lies on the column-3 sphere and 32+ is that column's added point.
     """
     return _entry_map(f"superimpose(n={n})", n, obstructor_subcomplex(n), above_only=False)
 
@@ -310,6 +324,8 @@ def sample_weight_vectors(m: int, samples: int = 8, seed: int = 0):
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if m > WEIGHT_TOTAL:
+        raise ValueError(f"no interior weights over {WEIGHT_TOTAL} on {m} vertices")
     if m == 0:
         return ((),)
     base, rem = divmod(WEIGHT_TOTAL, m)
@@ -337,7 +353,7 @@ def _prep(cone_map: ConeMap, simplex, m: IntRows, den: int):
 
 def _ray(cone_map: ConeMap, simplex, weights, radii) -> list[tuple]:
     """_prep at every radius of the ray of `simplex` at weights `weights` / WEIGHT_TOTAL."""
-    images = cone_map.scaled(simplex, weights, WEIGHT_TOTAL, radii)
+    images = cone_map.scaled(simplex, weights, radii)
     return [_prep(cone_map, simplex, m, den) for m, den in images]
 
 
@@ -377,7 +393,7 @@ def _ray_stats(cone_map: ConeMap, simplex, weights, radii, poly=None) -> list[tu
     1 at every t and the adjugate as a polynomial too, and each radius evaluates
     only the entries of den^(n-2) m(t) and adj(t) that can attain the maximum.
     """
-    poly = poly or cone_map.polynomial(simplex, weights, WEIGHT_TOTAL)
+    poly = poly or cone_map.polynomial(simplex, weights)
     if poly is None:
         return list(map(_ray_stat, _ray(cone_map, simplex, weights, radii)))
     ys, den = poly
@@ -483,10 +499,6 @@ class PairReport:
     growth: float
     status: str  # PASS / FAIL / INADMISSIBLE
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "PASS"
-
     def to_json(self) -> dict:
         return {
             "sigma": _lists(self.sigma),
@@ -542,14 +554,6 @@ class SuiteReport:
         if self.rows:
             out["rows"] = self.rows
         return out
-
-
-def _check_radii(radii) -> None:
-    """Refuse an empty schedule, and a negative radius as ConePoint does, for every map."""
-    if not radii:
-        raise ValueError("the radius schedule is empty")
-    if any(t < 0 for t in radii):
-        raise ValueError("radius must be nonnegative")
 
 
 def _simplices_sorted(domain: SimplicialComplex):
@@ -671,6 +675,11 @@ def properness_test(
     must be nondecreasing along the radius schedule and must grow by the
     margin overall.
 
+    On heisenberg, split and superimpose maps the t-linear part of the image
+    is t c N_sigma(w), nonzero on every nonempty simplex at interior
+    weights, so every fixed-weight ray leaves every bounded set; a PASS adds
+    only the monotone check and the growth by the factor.
+
     The monotone check depends on the sampling seed: at seeds 3, 4 and 8,
     eight facet rays of heisenberg_map(4) and of split_map(4) FAIL as
     non-monotone although each grows by more than e^35 over the schedule.
@@ -699,7 +708,7 @@ def properness_test(
         for s in layer:
             label, signs = repr(s), None
             for w in sample_weight_vectors(len(s), samples, seed):
-                poly = cone_map.polynomial(s, w, WEIGHT_TOTAL)
+                poly = cone_map.polynomial(s, w)
                 key = None
                 if poly:
                     flat = tuple(chain.from_iterable(chain.from_iterable(poly[0])))

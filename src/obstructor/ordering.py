@@ -232,30 +232,16 @@ def diagram_order(rs: RootSystem) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # witnesses
 
-def _positive_multiple_of_node(diff: Vector, node_vec: Vector) -> Fraction | None:
-    """Exact proportionality: diff == c * node_vec with c > 0, else None."""
-    pivot = next((i for i, x in enumerate(node_vec) if x != 0), None)
-    if pivot is None:
-        return None
-    c = Fraction(diff[pivot], node_vec[pivot])
-    if c <= 0:
-        return None
-    if all(Fraction(d) == c * n for d, n in zip(diff, node_vec)):
-        return c
-    return None
-
-
 def verify_witness(rs: RootSystem, lab: Labeling, w: Witness) -> WitnessReport:
     """Check conditions (1)-(3) exactly, quantifying over all roots and zero.
 
-    A node vector is supported on its own coordinate j, so sigma - phi can
-    only be a positive multiple of a D-node when phi = sigma - d*e_j, and
-    phi - sigma of a U-node when phi = sigma + d*e_j, with d >= 1.  Every
-    root-or-zero has coordinates in [-M, M], M = ``rs.max_coefficient()``, so
-    d <= 2M for sigma among them: a check costs O(rank * 2M) membership
-    probes, not a scan of all O(|Phi|) roots.  The exact rational
-    proportionality test runs on each phi found, and violations are listed in
-    increasing order of phi.
+    A node vector is h*e_j with h in {1, 2}, so sigma - phi is a positive
+    multiple of a D-node exactly when phi = sigma - d*e_j, and phi - sigma
+    of a U-node when phi = sigma + d*e_j, with d >= 1; the multiple is the
+    exact rational d/h.  Every root-or-zero has coordinates in [-M, M],
+    M = ``rs.max_coefficient()``, so d <= 2M for sigma among them: a check
+    costs O(rank * 2M) membership probes, not a scan of all O(|Phi|) roots.
+    Violations are listed in increasing order of phi.
     """
     report = WitnessReport(ok=True)
     ahat = rs.hat(lab.focus)
@@ -276,11 +262,8 @@ def verify_witness(rs: RootSystem, lab: Labeling, w: Witness) -> WitnessReport:
             r = -sign * sigma[j]
             for d in range(max(1, r - m), r + m + 1):
                 phi = sigma[:j] + (sigma[j] + sign * d,) + sigma[j + 1 :]
-                if phi not in rs._element_set:
-                    continue
-                c = _positive_multiple_of_node(rs.zero[:j] + (d,) + rs.zero[j + 1 :], node)
-                if c is not None:
-                    found.append((kind, j, phi, c))
+                if phi in rs._element_set:
+                    found.append((kind, j, phi, Fraction(d, node[j])))
     if found:
         report.ok = False
         report.violations.extend(sorted(found, key=lambda v: v[2]))

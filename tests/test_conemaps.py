@@ -135,7 +135,7 @@ SCALED_MAPS = [heisenberg_map(3), heisenberg_map(4), split_map(3), split_map(4),
 
 
 def _assert_scaled_matches_exact(cm, simplex, weights, radii):
-    images = cm.scaled(simplex, weights, WEIGHT_TOTAL, radii)
+    images = cm.scaled(simplex, weights, radii)
     assert len(images) == len(radii)
     ws = [Fraction(a, WEIGHT_TOTAL) for a in weights]
     for (rows, den), t in zip(images, radii):
@@ -153,8 +153,8 @@ def test_scaled_path_matches_exact_path():
             s = tuple(sorted(s))
             for ws in sample_weight_vectors(len(s), 2, k):
                 _assert_scaled_matches_exact(cm, s, ws, ORACLE_RADII)
-    # no domain simplex of split_map has a t^2 term in its image, and scaled
-    # drops that all-zero term; <23+,31+> has one, which must be kept
+    # no domain simplex of split_map has a t^2 term in its image, and the
+    # hook leaves that term out; <23+,31+> has one, which must be kept
     for n in (3, 4):
         off_domain = (((2, 3), 1), ((3, 1), 1))
         ys, _ = split_map(n)._scaled(off_domain, (20, 40), WEIGHT_TOTAL)
@@ -217,7 +217,7 @@ def _hook_rays(draw):
 @example((HOOK_MAPS["split_map", 4], OFF_DOMAIN, (13, 47), (2 ** 20, 3, 1, 0)))
 def test_ray_stats_from_the_polynomial_match_prep_at_every_radius(ray):
     cm, s, weights, radii = ray
-    images = cm.scaled(s, weights, WEIGHT_TOTAL, radii)
+    images = cm.scaled(s, weights, radii)
     expected = [_ray_stat(_prep(cm, s, m, den)) for m, den in images]
     assert _ray_stats(cm, s, weights, radii) == expected
 
@@ -225,10 +225,10 @@ def test_ray_stats_from_the_polynomial_match_prep_at_every_radius(ray):
 def test_ray_stats_see_the_t2_term_off_the_domain():
     for n in (3, 4):
         cm = HOOK_MAPS["split_map", n]
-        ys, _ = cm.polynomial(OFF_DOMAIN, (20, 40), WEIGHT_TOTAL)
+        ys, _ = cm.polynomial(OFF_DOMAIN, (20, 40))
         assert len(ys) == 2 and any(chain.from_iterable(ys[1]))
         radii = (0, 1, 7, 2 ** 20)
-        images = cm.scaled(OFF_DOMAIN, (20, 40), WEIGHT_TOTAL, radii)
+        images = cm.scaled(OFF_DOMAIN, (20, 40), radii)
         assert _ray_stats(cm, OFF_DOMAIN, (20, 40), radii) == [
             _ray_stat(_prep(cm, OFF_DOMAIN, m, den)) for m, den in images
         ]
@@ -305,28 +305,38 @@ def test_negative_radii_are_refused_for_every_map(builder):
 def test_scaled_validates_the_simplex():
     h, m = heisenberg_map(3), split_map(3)
     with pytest.raises(BadVertex):
-        h.scaled((((2, 1), 1),), (WEIGHT_TOTAL,), WEIGHT_TOTAL, (1,))
+        h.scaled((((2, 1), 1),), (WEIGHT_TOTAL,), (1,))
     with pytest.raises(BadSimplex):
-        m.scaled((((1, 2), 1), ((2, 1), 1)), (30, 30), WEIGHT_TOTAL, (1,))
+        m.scaled((((1, 2), 1), ((2, 1), 1)), (30, 30), (1,))
     for cm in (h, m):
         with pytest.raises(BadSimplex):
-            cm.scaled((((1, 2), 1), ((1, 2), -1)), (30, 30), WEIGHT_TOTAL, (1,))
+            cm.scaled((((1, 2), 1), ((1, 2), -1)), (30, 30), (1,))
 
 
-@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
-def test_hooks_refuse_weights_that_do_not_match_the_simplex(builder):
+@pytest.mark.parametrize("build", [
+    lambda: heisenberg_map(3), lambda: split_map(3), lambda: superimpose_map(3),
+    # a hook that reads only the weights, and checks none of them
+    lambda: _hooked(lambda s, w, total: ((((0, w[0]), (0, 0)),), total)),
+], ids=["heisenberg", "split", "superimpose", "hooked"])
+def test_hook_paths_refuse_the_weights_the_exact_path_refuses(build):
     # the hooks zip the simplex with its weights: one weight too few or too
-    # many would drop a vertex, or a weight, without a word
-    cm = builder(3)
+    # many would drop a vertex, or a weight, without a word; and weights
+    # that are not a cone point's would give a ray that is not one
+    cm = build()
     simplex = (((1, 2), 1), ((1, 3), 1))
-    for weights in ((WEIGHT_TOTAL,), (20, 20, 20)):
-        with pytest.raises(ValueError, match="weights must match the simplex vertices"):
-            cm.scaled(simplex, weights, WEIGHT_TOTAL, (1,))
-        with pytest.raises(ValueError, match="weights must match the simplex vertices"):
-            cm.polynomial(simplex, weights, WEIGHT_TOTAL)
+    for weights, message in (
+        ((WEIGHT_TOTAL,), "weights must match the simplex vertices"),
+        ((20, 20, 20), "weights must match the simplex vertices"),
+        ((30, 20), "weights must sum to 1"),
+        ((70, -10), "weights must be nonnegative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            cm.scaled(simplex, weights, (1,))
+        with pytest.raises(ValueError, match=message):
+            cm.polynomial(simplex, weights)
         # as the exact path refuses the same cone point
-        with pytest.raises(ValueError, match="weights must match the simplex vertices"):
-            _hookless(cm).scaled(simplex, weights, WEIGHT_TOTAL, (1,))
+        with pytest.raises(ValueError, match=message):
+            _hookless(cm).scaled(simplex, weights, (1,))
 
 
 ORDER_DOMAINS = {
@@ -389,7 +399,7 @@ def _sign_classes(cm, seed, samples=8):
     classes = set()
     for s in _simplices_sorted(cm.domain):
         for w in sample_weight_vectors(len(s), samples, seed):
-            ys, den = cm.polynomial(s, w, WEIGHT_TOTAL)
+            ys, den = cm.polynomial(s, w)
             flat = [v for y in ys for row in y for v in row]
             images = frozenset(tuple(v * p[k % (n * n)] for k, v in enumerate(flat)) for p in patterns)
             classes.add((len(s), den, images))
@@ -487,6 +497,10 @@ def test_sample_weight_vectors_is_memoized_and_still_refuses():
     for _ in range(2):
         with pytest.raises(ValueError, match="samples"):
             sample_weight_vectors(4, 0, 2)
+    # every interior weight is at least 1 of WEIGHT_TOTAL
+    assert sample_weight_vectors(WEIGHT_TOTAL, 2) == ((1,) * WEIGHT_TOTAL,) * 2
+    with pytest.raises(ValueError, match="no interior weights"):
+        sample_weight_vectors(WEIGHT_TOTAL + 1)
 
 
 def _failed_simplices(report):
@@ -585,6 +599,27 @@ def test_superimpose_counterexample_and_split_fix():
     # on fixed-weight interior rays the split map certifies divergence
     rep = divergence_test(splitm, sigma, tau)
     assert rep.status == "PASS"
+
+
+def _exact_images(cm, simplex, weights, radii):
+    return [ExactMatrix([[Fraction(v, den) for v in row] for row in rows])
+            for rows, den in cm.scaled(simplex, weights, radii)]
+
+
+def test_superimpose_is_split_on_the_domain():
+    # split's t^2 term N_U N_L needs an upper (i, k) and a lower (k, l) in
+    # one simplex; the lower vertices of L(n) are the added points
+    # ((k, k-1), +), and no facet holds one with a vertex of its column's sphere
+    for n in range(2, 6):
+        for facet in obstructor_subcomplex(n).facets:
+            assert not {j for (i, j), _ in facet if i < j} & {i for (i, j), _ in facet if i > j}
+    # so U L = I + t N / total, the superimposed image, on every sampled ray
+    for n in (2, 3):
+        split, naive = split_map(n), superimpose_map(n)
+        for seed in (0, 3):
+            for s in _simplices_sorted(split.domain):
+                for w in sample_weight_vectors(len(s), 8, seed):
+                    assert _exact_images(split, s, w, ORACLE_RADII) == _exact_images(naive, s, w, ORACLE_RADII)
 
 
 def test_properness_constant_map_fails():
@@ -986,7 +1021,7 @@ def test_superimpose_rays_share_one_den_so_the_bounds_decide_its_pairs(monkeypat
     cm = superimpose_map(3)
     for s in _simplices_sorted(cm.domain):
         for w in sample_weight_vectors(len(s), 8, 0):
-            assert cm.polynomial(s, w, WEIGHT_TOTAL)[1] == WEIGHT_TOTAL
+            assert cm.polynomial(s, w)[1] == WEIGHT_TOTAL
     exact_pairs = []
     monkeypatch.setattr(conemaps, "_pair_verdict", lambda *args: exact_pairs.append(1) or _pair_verdict(*args))
     for pairing in ("aligned", "cross"):

@@ -20,7 +20,6 @@ from obstructor.ordering import (
     _components,
     _descent_candidates,
     _highest_root,
-    _positive_multiple_of_node,
     _subsystem,
 )
 
@@ -189,6 +188,19 @@ def test_bitset_filter_agrees_with_exact_verifier():
                 fast_ok = not (bad >> k) & 1
                 exact_ok = verify_witness(rs, lab, Witness(sigma, mu)).ok
                 assert fast_ok == exact_ok, (spec, lab, sigma)
+
+
+def _positive_multiple_of_node(diff, node_vec):
+    """Exact proportionality: diff == c * node_vec with c > 0, else None."""
+    pivot = next((i for i, x in enumerate(node_vec) if x != 0), None)
+    if pivot is None:
+        return None
+    c = Fraction(diff[pivot], node_vec[pivot])
+    if c <= 0:
+        return None
+    if all(Fraction(d) == c * n for d, n in zip(diff, node_vec)):
+        return c
+    return None
 
 
 def _reference_verify(rs, lab, w):
