@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, cycle, groupby, product, repeat
+from itertools import chain, cycle, groupby, islice, product, repeat
 from operator import add, mul
 
 from .complexes import SimplicialComplex, is_acyclic, obstructor_subcomplex, sphere_preimage
@@ -226,12 +226,15 @@ def split_map(n: int) -> ConeMap:
         upper, lower = _split_parts(n, simplex, int_weights, 1)
         mid = {pos: total * v for pos, v in chain(upper.items(), lower.items())}
         ys = (_int_matrix(n, mid),)
-        # N_U N_L is zero unless an upper (i, k) meets a lower (k, l).  The
-        # only lower vertices of L(n) are the added points ((k, k-1), +), and
-        # a simplex takes column k's sphere or its point, never both, so this
-        # term appears only off the domain
+        # N_U N_L is zero unless an upper (i, k) meets a lower (k, l), and
+        # can cancel to zero when one does.  The only lower vertices of L(n)
+        # are the added points ((k, k-1), +), and a simplex takes column k's
+        # sphere or its point, never both, so this term appears only off the
+        # domain
         if {j for _, j in upper} & {i for i, _ in lower}:
-            ys += (int_matmul(_int_matrix(n, upper), _int_matrix(n, lower)),)
+            y2 = int_matmul(_int_matrix(n, upper), _int_matrix(n, lower))
+            if any(chain.from_iterable(y2)):
+                ys += (y2,)
         return ys, total * total
 
     return ConeMap(f"split(n={n})", obstructor_subcomplex(n), n, evaluate, scaled)
@@ -341,7 +344,10 @@ def sample_weight_vectors(m: int, samples: int = 8, seed: int = 0):
 
 
 def _prep(cone_map: ConeMap, simplex, m: IntRows, den: int):
-    """(m transposed, adj m, den) for the image m/den, which must have det 1."""
+    """(m transposed, adj m, den) for the image m/den, which must be size x size with det 1."""
+    if len(m) != cone_map.size:
+        raise DimensionMismatch(f"{cone_map.name}: the image over {simplex} is {len(m)} x {len(m)}, "
+                                f"not {cone_map.size} x {cone_map.size}")
     m_t = tuple(zip(*m))
     adj = int_adjugate(m)
     # the statistics take adj(m)/den^(n-1) for (m/den)^-1, true only at det 1;
@@ -563,6 +569,60 @@ def _simplices_sorted(domain: SimplicialComplex):
             for s in sorted(layer, key=lambda s: sorted(map(reprs.__getitem__, s)))]
 
 
+def _sign_patterns(n: int) -> list[tuple[int, ...]]:
+    """d_i d_j flat over the n x n positions, for each d in {+-1}^n with d_1 = +1.
+
+    Conjugation by the diagonal sign matrix d multiplies each entry by its
+    d_i d_j; d and -d conjugate alike, so d_1 = +1 takes each one once.
+    """
+    return [tuple(a * b for a in d for b in d) for d in product((1, -1), repeat=n) if d[0] == 1]
+
+
+def _conjugation_ids(images: dict, patterns) -> dict:
+    """{id: [the id of its image conjugated by each pattern]}, math.inf where no simplex has it.
+
+    `images` maps each flat image to its id, the index of the first simplex
+    with it.  D X D = Y gives D Y D = X, so each conjugate found is looked
+    up once.
+    """
+    ids = {}
+    for flat, c in images.items():
+        row = ids.setdefault(c, [c] + [None] * (len(patterns) - 1))
+        for k, p in enumerate(patterns):
+            if row[k] is None:
+                row[k] = e = images.get(tuple(map(mul, flat, cycle(p))), math.inf)
+                if e != math.inf:
+                    ids.setdefault(e, [e] + [None] * (len(patterns) - 1))[k] = c
+    return ids
+
+
+def _divergence_prep(cone_map: ConeMap, samples: int, seed: int, ends) -> list[list]:
+    """Per simplex in suite order: vertex bit mask, repr, sampled rays, their
+    _ray_bounds, den key (None unless every ray shares its dens) and ids.
+
+    A simplex's image is m^T and den at both ends of every ray, as one flat
+    tuple; its ids are the _conjugation_ids row of its image among the
+    simplices of its size, all interned before any conjugate is looked up.
+    """
+    patterns = [p + (1,) for p in _sign_patterns(cone_map.size)]  # den follows each m in a flat image
+    bits = {v: 1 << k for k, v in enumerate(cone_map.domain.vertices)}
+    prep = []
+    for _, layer in groupby(_simplices_sorted(cone_map.domain), len):
+        start, images = len(prep), {}
+        for s in layer:
+            rays = _sampled_rays(cone_map, s, samples, seed, ends)
+            bounds = [_ray_bounds(r) for r in rays]
+            dens = {(b[2], b[5]) for b in bounds}
+            flat = tuple(chain.from_iterable(chain(chain.from_iterable(m_t), (den,))
+                                             for ray in rays for m_t, _, den in ray))
+            mask, key = sum(map(bits.__getitem__, s)), dens.pop() if len(dens) == 1 else None
+            prep.append([mask, repr(s), rays, bounds, key, images.setdefault(flat, len(prep))])
+        ids = _conjugation_ids(images, patterns)
+        for entry in prep[start:]:
+            entry[5] = ids[entry[5]]
+    return prep
+
+
 def divergence_test(
     cone_map: ConeMap,
     sigma,
@@ -618,6 +678,23 @@ def divergence_suite(
     and a growth that cannot lower min_growth, so the report is the one the
     exact statistic gives for every pair.
 
+    Each sign orbit of pairs is decided once.  For D = diag(d) in
+    _sign_patterns, adj(D A D) D B D = D adj(A) B D, so every integer the
+    suite reads of a pair (its statistics, _ray_bounds and den key) is, up
+    to entry signs, that of the pair conjugated by D.  A pair's orbit key is
+    the least (id_sigma[D], id_tau[D]) over D (_divergence_prep); D = I
+    always gives finite ids, so a key holding math.inf is never least.
+    Equal keys say that one D conjugates both simplices' images, m and den
+    at both ends of every ray, onto the other pair's.  So a pair whose key
+    was seen takes that orbit's verdict: the exact (ok, growth, d_first,
+    d_last), recorded under its own simplices and with its own row, or a
+    PASS with growth inf if the orbit cleared the bounds, which proved a
+    growth above the min_growth of that time.  A copied growth is never
+    below min_growth, so the threshold is not formed again.  The keys read
+    images, never hooks.  A pair's verdict is kept until the suite has
+    passed the last simplex of sigma's orbit, after which no pair starts in
+    that orbit.
+
     On heisenberg, split and superimpose maps the t-linear part of A^-1 B
     is t c (N_tau - N_sigma), nonzero for disjoint nonempty sigma and tau,
     so every fixed-weight pair diverges; a PASS adds only the growth by the
@@ -630,34 +707,41 @@ def divergence_suite(
     _check_radii(radii)
     t0 = time.perf_counter()
     ends = (radii[0], radii[-1])
-    prep = []
-    for s in _simplices_sorted(cone_map.domain):
-        rays = _sampled_rays(cone_map, s, samples, seed, ends)
-        bounds = [_ray_bounds(r) for r in rays]
-        dens = {(b[2], b[5]) for b in bounds}  # the simplex's den key
-        prep.append((frozenset(s), repr(s), rays, bounds, dens.pop() if len(dens) == 1 else None))
+    prep = _divergence_prep(cone_map, samples, seed, ends)
     aligned = [(i, i) for i in range(samples)]
     combos = aligned if pairing == "aligned" else list(product(range(samples), repeat=2))
     report = SuiteReport(cone_map.name, "divergence", sampling=pairing)
     threshold = None
-    pairs = combinations(prep, 2)
-    for (set_a, repr_a, rays_a, bounds_a, key_a), (set_b, repr_b, rays_b, bounds_b, key_b) in pairs:
-        if not set_a.isdisjoint(set_b):
-            continue
-        if report.total and not collect_rows and key_a is not None and key_a == key_b:
-            # the exact statistic would leave the report as it is, to the
-            # last bit; the growth inf never reaches min_growth
-            (num, q), (df, dl) = threshold, key_a
-            if _bounded_pass(bounds_a, bounds_b, combos, num * dl, q * df):
+    cleared = object()  # the verdict of an orbit that cleared _bounded_pass
+    seen = {}  # least id of sigma's orbit -> {pair orbit key: cleared, or (ok, growth, d_first, d_last)}
+    for i, (mask_a, repr_a, rays_a, bounds_a, key_a, ids_a) in enumerate(prep):
+        scaled_a = [c * len(prep) for c in ids_a]  # a key is id_sigma * len(prep) + id_tau
+        verdicts = seen.setdefault(min(ids_a), {})
+        for mask_b, repr_b, rays_b, bounds_b, key_b, ids_b in islice(prep, i + 1, None):
+            if mask_a & mask_b:
+                continue
+            orbit = min(map(add, scaled_a, ids_b))
+            verdict = verdicts.get(orbit)
+            if verdict is None and report.total and not collect_rows and key_a is not None and key_a == key_b:
+                # the exact statistic would leave the report as it is, to the
+                # last bit; the growth inf never reaches min_growth
+                (num, q), (df, dl) = threshold, key_a
+                if _bounded_pass(bounds_a, bounds_b, combos, num * dl, q * df):
+                    verdict = verdicts[orbit] = cleared
+            if verdict is cleared:
                 report.record(True, math.inf, {})
                 continue
-        ok, growth, d_first, d_last = _pair_verdict(rays_a, rays_b, combos, growth_factor)
-        if not report.total or growth < report.min_growth:
-            threshold = _threshold(growth_factor, growth)
-        report.record(ok, growth, {"sigma": repr_a, "tau": repr_b, "growth": round(growth, 4)})
-        if collect_rows:
-            verdict = "PASS" if ok else "FAIL"
-            report.rows.append(PairReport(repr_a, repr_b, ends, [d_first, d_last], growth, verdict).to_json())
+            if verdict is None:
+                verdict = verdicts[orbit] = _pair_verdict(rays_a, rays_b, combos, growth_factor)
+            ok, growth, d_first, d_last = verdict
+            if not report.total or growth < report.min_growth:
+                threshold = _threshold(growth_factor, growth)
+            report.record(ok, growth, {"sigma": repr_a, "tau": repr_b, "growth": round(growth, 4)})
+            if collect_rows:
+                row = PairReport(repr_a, repr_b, ends, [d_first, d_last], growth, "PASS" if ok else "FAIL")
+                report.rows.append(row.to_json())
+        if i == max(filter(math.isfinite, ids_a)):  # no later pair starts in sigma's orbit
+            del seen[min(ids_a)]
     report.elapsed_s = time.perf_counter() - t0
     return report
 
@@ -702,7 +786,7 @@ def properness_test(
     _check_radii(radii)
     report = SuiteReport(cone_map.name, "properness", sampling="rays")
     n = cone_map.size
-    patterns = [tuple(a * b for a in d for b in d) for d in product((1, -1), repeat=n) if d[0] == 1]
+    patterns = _sign_patterns(n)
     for _, layer in groupby(_simplices_sorted(cone_map.domain), len):
         seen = {}  # key -> (ok, growth, monotone) over this simplex size
         for s in layer:

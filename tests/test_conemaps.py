@@ -15,6 +15,7 @@ from obstructor import (
     BadVertex,
     ConeMap,
     ConePoint,
+    DimensionMismatch,
     ExactMatrix,
     adjoint_component,
     d_stat,
@@ -39,6 +40,7 @@ from obstructor.conemaps import (
     SuiteReport,
     heisenberg_domain,
     _bounded_pass,
+    _divergence_prep,
     _grew,
     _int_matrix,
     _log_stat,
@@ -49,6 +51,7 @@ from obstructor.conemaps import (
     _ray_stat,
     _ray_stats,
     _sampled_rays,
+    _sign_patterns,
     _simplices_sorted,
     _threshold,
     sample_weight_vectors,
@@ -232,6 +235,16 @@ def test_ray_stats_see_the_t2_term_off_the_domain():
         assert _ray_stats(cm, OFF_DOMAIN, (20, 40), radii) == [
             _ray_stat(_prep(cm, OFF_DOMAIN, m, den)) for m, den in images
         ]
+
+
+def test_split_hook_leaves_out_a_t2_term_that_cancels():
+    # 13+ and 14- meet 32+ and 42+ at the (1, 2) entry of N_U N_L, where
+    # 15*15 - 15*15 = 0: the indices meet, yet the product is zero
+    cm = split_map(4)
+    s, w = (((1, 3), 1), ((1, 4), -1), ((3, 2), 1), ((4, 2), 1)), (15, 15, 15, 15)
+    ys, den = cm.polynomial(s, w)
+    assert len(ys) == 1 and den == WEIGHT_TOTAL ** 2
+    _assert_scaled_matches_exact(cm, s, w, ORACLE_RADII)
 
 
 def _hookless(cm):
@@ -436,28 +449,34 @@ def test_properness_with_one_sample_computes_one_ray_per_sign_class(builder, com
     assert len(calls) == computed == _sign_classes(cm, 0, samples=1) < report.total
 
 
-def test_properness_reuse_stays_exact_on_a_hook_that_is_not_sign_equivariant(monkeypatch):
+def _lopsided_hook(simplex, int_weights, total):
     # weight w on a + entry and 2w on a - entry: nilpotent, but flipping a
     # vertex's sign is not conjugation by a sign matrix
-    def hook(simplex, int_weights, total):
-        rows = [[0] * 3 for _ in range(3)]
-        for ((i, j), s), a in zip(simplex, int_weights):
-            rows[i - 1][j - 1] = s * a * (1 if s == 1 else 2)
-        return (tuple(map(tuple, rows)),), total
+    rows = [[0] * 3 for _ in range(3)]
+    for ((i, j), s), a in zip(simplex, int_weights):
+        rows[i - 1][j - 1] = s * a * (1 if s == 1 else 2)
+    return (tuple(map(tuple, rows)),), total
 
-    cm = ConeMap("lopsided", heisenberg_domain(3), 3, lambda p: ExactMatrix.identity(3), hook)
+
+def _den_only_hook(simplex, int_weights, total):
+    # the coefficients are the vertex signs alone and only den follows the
+    # weights, so every sample of a simplex shares its coefficients
+    return (_int_matrix(3, {p: s for p, s in simplex}),), total + int_weights[0]
+
+
+def _heisenberg_3_hooked(name, hook):
+    return ConeMap(name, heisenberg_domain(3), 3, lambda p: ExactMatrix.identity(3), hook)
+
+
+def test_properness_reuse_stays_exact_on_a_hook_that_is_not_sign_equivariant(monkeypatch):
+    cm = _heisenberg_3_hooked("lopsided", _lopsided_hook)
     for seed, classes in ((0, 142), (3, 154)):
         report, computed = _rays_and_computed(monkeypatch, cm, None, seed)
         assert computed == _sign_classes(cm, seed) == classes and report.total == 8 * 26
 
 
 def test_properness_reuse_keys_on_den_too(monkeypatch):
-    # the coefficients are the vertex signs alone and only den follows the
-    # weights, so every sample of a simplex shares its coefficients
-    def hook(simplex, int_weights, total):
-        return (_int_matrix(3, {p: s for p, s in simplex}),), total + int_weights[0]
-
-    cm = ConeMap("den-only", heisenberg_domain(3), 3, lambda p: ExactMatrix.identity(3), hook)
+    cm = _heisenberg_3_hooked("den-only", _den_only_hook)
     for seed in (0, 3):
         report, computed = _rays_and_computed(monkeypatch, cm, (1, 16, 2 ** 20), seed)
         assert computed == _sign_classes(cm, seed) < report.total
@@ -1049,6 +1068,90 @@ def test_a_pair_goes_exact_only_when_its_bounds_fall_short(monkeypatch):
         # at radius 2^10 the bounds of many pairs clear the threshold by a narrow margin
         report = divergence_suite(builder(3), radii=(1, 2 ** 10), pairing="cross")
         assert 0 < len(growths) < report.total
+
+
+# divergence_suite decides each sign orbit of pairs once
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(conemaps, name)
+    monkeypatch.setattr(conemaps, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("builder, n, pairing, report, calls", [
+    # without the orbit key heisenberg(4) made 58,095 and 4,012 calls
+    (heisenberg_map, 4, "aligned", (58096, 58096, 0, "12.946652879324752"), (7923, 606)),
+    (split_map, 3, "cross", (396, 396, 0, "13.862943611198904"), (202, 85)),
+])
+def test_bench_suites_keep_their_reports_and_decide_each_orbit_once(builder, n, pairing, report, calls,
+                                                                   monkeypatch):
+    bounded, exact = _counted(monkeypatch, "_bounded_pass"), _counted(monkeypatch, "_pair_verdict")
+    r = divergence_suite(builder(n), pairing=pairing)
+    assert (r.total, r.passed, r.failed, repr(r.min_growth)) == report
+    assert (len(bounded), len(exact)) == calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sign_patterns_are_each_conjugation_once(n):
+    patterns = _sign_patterns(n)
+    every = {tuple(a * b for a in d for b in d) for d in product((1, -1), repeat=n)}
+    assert len(patterns) == len(every) == 2 ** (n - 1) and set(patterns) == every
+    assert patterns[0] == (1,) * (n * n)
+
+
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, hookless_superimpose])
+def test_conjugation_ids_name_the_first_simplex_with_each_conjugate_image(builder):
+    cm = builder(3)
+    prep = _divergence_prep(cm, 8, 0, (1, 2 ** 20))
+    images = [(len(s), [(m_t, den) for ray in entry[2] for m_t, _, den in ray])
+              for s, entry in zip(_simplices_sorted(cm.domain), prep)]
+    for (size, image), entry in zip(images, prep):
+        for d, c in zip([(1, *d) for d in product((1, -1), repeat=2)], entry[5]):
+            conjugate = (size, [(tuple(tuple(v * d[i] * d[j] for j, v in enumerate(row))
+                                       for i, row in enumerate(m_t)), den) for m_t, den in image])
+            matches = [k for k, other in enumerate(images) if other == conjugate]
+            assert c == (matches[0] if matches else math.inf)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_orbit_reuse_stays_exact_on_a_hook_that_is_not_sign_equivariant(seed, monkeypatch):
+    cm = _heisenberg_3_hooked("lopsided", _lopsided_hook)
+    prep = [(s, _sampled_rays(cm, s, 8, seed, (1, 2 ** 20))) for s in _simplices_sorted(cm.domain)]
+    exact = _counted(monkeypatch, "_pair_verdict")
+    for pairing in ("aligned", "cross"):
+        reference = _all_exact_suite(cm, prep, pairing, GROWTH_FACTOR)
+        exact.clear()
+        with_rows = divergence_suite(cm, seed=seed, pairing=pairing, collect_rows=True)
+        assert _fingerprint(with_rows) == _fingerprint(reference) and with_rows.rows == reference.rows
+        # flipping a sign doubles or halves an entry, so no pair conjugates
+        # to another and every pair is computed
+        assert len(exact) == with_rows.total
+        assert _fingerprint(divergence_suite(cm, seed=seed, pairing=pairing)) == _fingerprint(reference)
+
+
+def test_orbit_reuse_stays_exact_when_only_den_follows_the_weights():
+    # every image is den I + t Y with the signs alone in Y: den sits on the
+    # diagonal of each compared image
+    cm = _heisenberg_3_hooked("den-only", _den_only_hook)
+    prep = [(s, _sampled_rays(cm, s, 8, 0, (1, 2 ** 20))) for s in _simplices_sorted(cm.domain)]
+    for pairing in ("aligned", "cross"):
+        reference = _all_exact_suite(cm, prep, pairing, GROWTH_FACTOR)
+        with_rows = divergence_suite(cm, pairing=pairing, collect_rows=True)
+        assert _fingerprint(with_rows) == _fingerprint(reference) and with_rows.rows == reference.rows
+        assert _fingerprint(divergence_suite(cm, pairing=pairing)) == _fingerprint(reference)
+
+
+def test_images_of_another_size_than_the_map_are_refused():
+    # every reader takes the map's size for its images' size
+    cm = ConeMap("small", heisenberg_domain(3), 3, lambda p: ExactMatrix.identity(2))
+    with pytest.raises(DimensionMismatch, match="2 x 2, not 3 x 3"):
+        divergence_suite(cm, samples=1)
+    with pytest.raises(DimensionMismatch, match="2 x 2, not 3 x 3"):
+        properness_test(cm, samples=1)
+    with pytest.raises(DimensionMismatch, match="2 x 2, not 3 x 3"):
+        divergence_test(cm, (((1, 2), 1),), (((1, 2), -1),), samples=1)
 
 
 def test_threshold_is_formed_again_when_min_growth_falls(monkeypatch):
