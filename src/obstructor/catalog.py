@@ -41,6 +41,13 @@ class GroupSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
+        if self.places is not None and (not isinstance(self.places, tuple) or len(self.places) != 2):
+            raise ValueError(f"places must be a tuple (r, s), got {self.places!r}")
+        given = {"n": self.n, "witt": self.witt, "ambient": self.ambient, "dim_xm": self.dim_xm}
+        given.update(zip(("r", "s"), self.places or ()))
+        for name, value in given.items():
+            if value is not None and type(value) is not int:  # bool is an int subclass, and no count
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.kind in ("sl_z", "sl_o") and self.n < 2:
             raise ValueError("need n >= 2")
         if self.kind in ("sp_z", "sp_o") and self.n < 1:

@@ -64,7 +64,18 @@ def cmd_rootsys(args) -> int:
     return 0
 
 
+def _one_selector(args, *names) -> bool:
+    """Is at most one of the selector options `names` given?  Prints the usage line if not."""
+    values = {f"--{name}": getattr(args, name) for name in names}
+    given = [name for name, v in values.items() if v is not None and v is not False]  # a 0 is given
+    if len(given) > 1:
+        print("give only one of " + "/".join(given), file=sys.stderr)
+    return len(given) <= 1
+
+
 def cmd_lemma_key(args) -> int:
+    if not _one_selector(args, "type", "all"):
+        return 2
     if args.all:
         specs = ACCEPTANCE_TYPES
     elif args.type:
@@ -96,13 +107,15 @@ def cmd_lemma_key(args) -> int:
 
 
 def cmd_complex(args) -> int:
-    if args.cuspidal:
+    if not _one_selector(args, "cuspidal", "doubled", "obstructor"):
+        return 2
+    if args.cuspidal is not None:
         x = complexes.arrow_complex(args.cuspidal)
         name = f"C({args.cuspidal})"
-    elif args.doubled:
+    elif args.doubled is not None:
         x = complexes.signed_double(complexes.arrow_complex(args.doubled))
         name = f"SC({args.doubled})"
-    elif args.obstructor:
+    elif args.obstructor is not None:
         x = complexes.obstructor_subcomplex(args.obstructor)
         name = f"L({args.obstructor})"
     else:
@@ -136,6 +149,8 @@ def _spec_from_args(args) -> catalog.GroupSpec:
 
 
 def cmd_dims(args) -> int:
+    if not _one_selector(args, "group", "all"):
+        return 2
     if args.all:
         specs = catalog.catalog_grid()
         # shown for completeness; these rows are flagged, not asserted

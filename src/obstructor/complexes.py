@@ -304,6 +304,9 @@ class ObstructorShape:
     plus_dims: tuple[int, ...]
 
     def __post_init__(self):
+        dims = self.plus_dims if self.sphere_dim is None else (self.sphere_dim, *self.plus_dims)
+        if any(type(k) is not int for k in dims):  # bool is an int subclass, and no dimension
+            raise ValueError(f"dimensions must be integers, got {self.sphere_dim!r} and {self.plus_dims!r}")
         if self.sphere_dim is not None and self.sphere_dim < 0:
             raise ValueError("sphere dimension must be >= 0")
         if any(k < 0 for k in self.plus_dims):

@@ -422,27 +422,22 @@ def _grew(first: tuple[int, int], last: tuple[int, int], factor: int) -> bool:
     return nl * df >= factor * nf * dl
 
 
-def _pair_verdict(rays_a, rays_b, combos, growth_factor: int) -> tuple[bool, float, float, float]:
-    """(ok, growth, d_first, d_last) over the ray pairs (i, j) in `combos`.
+def _pair_verdict(rays_a, rays_b, combos, growth_factor: int) -> tuple:
+    """(ok, growth, d_1, ..., d_R) over the ray pairs (i, j) in `combos`, at every radius they hold.
 
-    A pair of rays passes when its statistic grows by the growth factor from
-    the first radius to the last.  growth, d_first and d_last are minima over
-    the pairs of the log gain and of the log statistic at either end.
+    A pair passes when its statistic grows by the growth factor from the
+    first radius to the last.  growth and d_r are minima over the pairs of
+    the log gain and of the log statistic at the r-th radius.
     """
     ok = True
-    growth = d_first = d_last = math.inf
+    growth, d_curve = math.inf, [math.inf] * len(rays_a[0])
     for i, j in combos:
-        ray_a, ray_b = rays_a[i], rays_b[j]
-        first = _pair_stat(ray_a[0], ray_b[0])
-        last = _pair_stat(ray_a[-1], ray_b[-1])
-        if not _grew(first, last, growth_factor):
-            ok = False
-        gf = _log_stat(first)
-        gl = _log_stat(last)
-        growth = min(growth, gl - gf)
-        d_first = min(d_first, gf)
-        d_last = min(d_last, gl)
-    return ok, growth, d_first, d_last
+        stats = list(map(_pair_stat, rays_a[i], rays_b[j]))
+        ok = _grew(stats[0], stats[-1], growth_factor) and ok
+        logs = list(map(_log_stat, stats))
+        growth = min(growth, logs[-1] - logs[0])
+        d_curve = list(map(min, d_curve, logs))
+    return ok, growth, *d_curve
 
 
 def _ray_bounds(ray) -> tuple:
@@ -634,11 +629,11 @@ def divergence_test(
 ) -> PairReport:
     """Certify that the cones on two disjoint simplices move apart.
 
-    Samples interior points of both simplices (full cross product), tracks
-    the distance statistic along the radius schedule, and passes when the
-    final statistic exceeds the initial one by the growth factor for every
-    sampled pair of rays.  Images must have determinant 1 (ValueError
-    otherwise).
+    Samples interior points of both simplices (full cross product) and
+    evaluates each pair of rays at every radius (_pair_verdict): d_curve is
+    the least log statistic over the pairs at each radius.  It passes when,
+    for every pair, the last statistic is at least the growth factor times
+    the first.  Images must have determinant 1 (ValueError otherwise).
     """
     sigma = tuple(sorted(sigma))
     tau = tuple(sorted(tau))
@@ -649,11 +644,7 @@ def divergence_test(
     rays_a = _sampled_rays(cone_map, sigma, samples, seed, radii)
     rays_b = _sampled_rays(cone_map, tau, samples, seed + 1, radii)
     combos = list(product(range(len(rays_a)), range(len(rays_b))))
-    ok, growth, _, _ = _pair_verdict(rays_a, rays_b, combos, growth_factor)
-    d_curve = [
-        min(_log_stat(_pair_stat(a[k], b[k])) for a, b in product(rays_a, rays_b))
-        for k in range(len(radii))
-    ]
+    ok, growth, *d_curve = _pair_verdict(rays_a, rays_b, combos, growth_factor)
     return PairReport(sigma, tau, radii, d_curve, growth, "PASS" if ok else "FAIL")
 
 

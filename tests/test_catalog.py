@@ -129,6 +129,21 @@ def test_spec_validation():
         for places in ((2, 0), (1, 0)):
             with pytest.raises(ValueError, match="one real place"):
                 GroupSpec(kind, n=3, places=places)
+    # every given count is an int, and not a bool; places is a tuple of two
+    for kwargs, message in [
+        (dict(kind="sl_o", n=3, places=(1.5, 0)), "r must be an integer, got 1.5"),
+        (dict(kind="sl_o", n=3, places=(1, False)), "s must be an integer, got False"),
+        (dict(kind="sp_z", n=True), "n must be an integer, got True"),
+        (dict(kind="sl_z", n=2.5), "n must be an integer, got 2.5"),
+        (dict(kind="so_q", witt=2, ambient=7.0, dim_xm=1), "ambient must be an integer, got 7.0"),
+        (dict(kind="so_q", witt=2.0, ambient=7, dim_xm=1), "witt must be an integer, got 2.0"),
+        (dict(kind="so_q", witt=2, ambient=7, dim_xm=True), "dim_xm must be an integer, got True"),
+        (dict(kind="sl_o", n=3, places=(1,)), r"places must be a tuple \(r, s\), got \(1,\)"),
+        (dict(kind="sl_o", n=3, places=(1, 0, 0)), "places must be a tuple"),
+        (dict(kind="sl_o", n=3, places=[1, 0]), "places must be a tuple"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            GroupSpec(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +244,22 @@ def test_cli_usage_errors(capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n")
     assert main(["diverge", "--map", "heisenberg", "--n", "1"]) == 2
     assert capsys.readouterr() == ("", "error: need n >= 2\n")
+    # a selector given as 0 is given, and refused as 1 is
+    for selector in ("--cuspidal", "--doubled", "--obstructor"):
+        for n in ("0", "1"):
+            assert main(["complex", selector, n]) == 2
+            assert capsys.readouterr() == ("", "error: need n >= 2\n")
+    # two selectors are refused, not one of them dropped
+    for argv, given in [
+        (["complex", "--cuspidal", "3", "--doubled", "3"], "--cuspidal/--doubled"),
+        (["complex", "--cuspidal", "0", "--obstructor", "3"], "--cuspidal/--obstructor"),
+        (["complex", "--cuspidal", "3", "--doubled", "3", "--obstructor", "3"],
+         "--cuspidal/--doubled/--obstructor"),
+        (["lemma-key", "--type", "A2", "--all"], "--type/--all"),
+        (["dims", "--group", "sl", "--all"], "--group/--all"),
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"give only one of {given}\n")
 
 
 def test_cli_save_respects_output_dir(tmp_path, monkeypatch, capsys):

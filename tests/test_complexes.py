@@ -213,6 +213,10 @@ def test_shape_validation():
         ObstructorShape(None, (-2,))
     with pytest.raises(ValueError):
         ObstructorShape(None, ())  # m = -2 < -1
+    # dimensions are ints, not floats or bools
+    for sphere_dim, plus_dims in [(None, (1.5,)), (True, (0,)), (1.0, (0,)), (None, (0, False)), (2, (1, 2.0))]:
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            ObstructorShape(sphere_dim, plus_dims)
 
 
 def test_json_round_trip():

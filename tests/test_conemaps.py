@@ -1093,6 +1093,17 @@ def test_bench_suites_keep_their_reports_and_decide_each_orbit_once(builder, n, 
     assert (len(bounded), len(exact)) == calls
 
 
+@pytest.mark.parametrize("radii, samples", [(None, 8), ((1, 16, 2 ** 20), 2), ((5,), 3)])
+def test_divergence_test_evaluates_each_ray_pair_once_at_each_radius(radii, samples, monkeypatch):
+    # the distance curve is _pair_verdict's; a loop of its own over the
+    # radii made len(combos) * (len(radii) + 2) calls
+    stats = _counted(monkeypatch, "_pair_stat")
+    rep = divergence_test(heisenberg_map(3), (((1, 2), 1),), (((1, 3), 1), ((2, 3), -1)),
+                          radii=radii, samples=samples)
+    assert len(rep.d_curve) == len(rep.radii)
+    assert len(stats) == samples * samples * len(rep.radii)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sign_patterns_are_each_conjugation_once(n):
     patterns = _sign_patterns(n)

@@ -96,6 +96,16 @@ def test_matmax_agrees_with_full_product():
             assert int_matmax(a, tuple(zip(*b))) == max(abs(x) for r in full for x in r)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])  # 3 and 4 take the unrolled branches, the rest the loop
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matmax_agrees_with_int_matmul_on_big_entries(n, data):
+    square = st.tuples(*[st.tuples(*[st.integers(-2 ** 80, 2 ** 80)] * n)] * n)
+    a, b = data.draw(square), data.draw(square)
+    full = int_matmul(a, b)
+    assert int_matmax(a, tuple(zip(*b))) == max(abs(x) for row in full for x in row)
+
+
 def test_scaled_int():
     m = ExactMatrix([[Fraction(1, 2), 1], [Fraction(3, 4), 0]])
     rows, den = m.scaled_int()
