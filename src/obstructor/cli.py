@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import cache
@@ -179,7 +180,24 @@ def cmd_dims(args) -> int:
     return 0 if ok else 1
 
 
+DIVERGE_MAX_PAIRS = 10 ** 6  # n = 4 has 58,096 (heisenberg) and 171,774 (split) disjoint pairs
+
+
+def _disjoint_pairs(map_name: str, n: int) -> int:
+    """Unordered disjoint pairs of nonempty simplices of the map's domain at n >= 1 (README)."""
+    p, ks = n * (n - 1) // 2, range(2, n + 1)
+    # ordered disjoint pairs, and simplices, the empty simplex included
+    both, one = (7 ** p, 3 ** p) if map_name == "heisenberg" else (
+        math.prod(7 ** (k - 1) + 2 * 3 ** (k - 1) for k in ks), math.prod(3 ** (k - 1) + 1 for k in ks))
+    return (both - 2 * one + 1) // 2
+
+
 def cmd_diverge(args) -> int:
+    pairs = _disjoint_pairs(args.map, max(1, min(args.n, 5)))  # it grows with n; n = 5 is over the limit
+    if pairs > DIVERGE_MAX_PAIRS:
+        print(f"diverge --map {args.map} --n {args.n}: {'more than ' * (args.n > 5)}{pairs:,} disjoint "
+              f"pairs, over the limit of {DIVERGE_MAX_PAIRS:,}", file=sys.stderr)
+        return 2
     builder = conemaps.heisenberg_map if args.map == "heisenberg" else conemaps.split_map
     cone_map = builder(args.n)
     pairing = "aligned" if args.aligned else "cross"

@@ -53,8 +53,7 @@ def default_radii() -> tuple[int, ...]:
 
 
 def _check_weights(simplex, weights, total) -> None:
-    """Refuse weights that are not one nonnegative weight per vertex, or
-    whose sum is not `total`: weights / total are a cone point's."""
+    """Refuse weights unless they are one nonnegative weight per vertex summing to `total`."""
     if len(simplex) != len(weights):
         raise ValueError("weights must match the simplex vertices")
     if any(w < 0 for w in weights):
@@ -69,6 +68,11 @@ def _check_radii(radii) -> None:
         raise ValueError("the radius schedule is empty")
     if any(t < 0 for t in radii):
         raise ValueError("radius must be nonnegative")
+
+
+def _rows(flat, n: int) -> tuple[IntRows, ...]:
+    """Flat n*n coefficient lists as n x n integer matrices."""
+    return tuple([tuple([tuple(y[i:i + n]) for i in range(0, n * n, n)]) for y in flat])
 
 
 @dataclass(frozen=True)
@@ -90,58 +94,90 @@ class ConePoint:
 class ConeMap:
     """A map from the cone on a finite complex into a matrix group."""
 
-    def __init__(self, name: str, domain: SimplicialComplex, size: int, evaluate, scaled=None):
-        self.name = name
-        self.domain = domain
-        self.size = size
-        self._evaluate = evaluate
-        self._scaled = scaled
+    def __init__(self, name: str, domain: SimplicialComplex, size: int, evaluate, image=None):
+        self.name, self.domain, self.size = name, domain, size
+        self._evaluate, self._image = evaluate, image
 
     def __call__(self, point: ConePoint) -> ExactMatrix:
         return self._evaluate(point)
 
-    def polynomial(self, simplex, int_weights) -> tuple[tuple[IntRows, ...], int] | None:
+    def image(self, simplex) -> tuple[dict, int, bool] | None:
+        """(terms, d, acyclic): the hook's image I + Y(x) over `simplex`, checked; None without a hook.
+
+        terms maps exponent tuples of x_v = t w_v, in the simplex's vertex
+        order, to sparse {(i, j): c} at 1-based positions, and den =
+        WEIGHT_TOTAL^d.  A term of degree 0 or above d, or off the matrix,
+        is refused (ValueError).  An acyclic support proves Y nilpotent on
+        every ray; else each ray's substitution checks Y^n = 0.
+        """
+        if self._image is None:
+            return None
+        terms, d = self._image(simplex)
+        n, index = self.size, set(range(1, self.size + 1))
+        if any(len(e) != len(simplex) or not 0 < sum(e) <= d or not index.issuperset(chain.from_iterable(c))
+               for e, c in terms.items()):
+            raise ValueError(f"{self.name}: the image over {simplex} is not I + Y(x) with Y {n} x {n} of "
+                             f"degree 1 to {d}, so it is not certified to have determinant 1")
+        return terms, d, is_acyclic([ij for coeffs in terms.values() for ij, c in coeffs.items() if c])
+
+    def polynomial(self, simplex, int_weights, image=None) -> tuple[tuple[IntRows, ...], int] | None:
         """(ys, den) with den * image(t) = den I + sum_k ys[k-1] t^k, or None without a hook.
 
-        Weights are int_weights / WEIGHT_TOTAL, refused as ConePoint refuses
-        them.  The hook validates the simplex and returns the integer matrix
-        coefficients of t, t^2, ... in Y(t).  Every reader gets the contract
-        enforced, ValueError otherwise: Y is nilpotent, by an acyclic support
-        of the coefficients or else Y^n = 0.
+        ys[k-1] sums den c x^e / t^k over the terms of degree k of the image
+        (`image`, or ConeMap.image) at x = t int_weights / WEIGHT_TOTAL, with
+        trailing all-zero coefficients dropped.  Weights are refused as
+        ConePoint refuses them.
         """
-        if self._scaled is None:
+        image = image or self.image(simplex)
+        if image is None:
             return None
-        _check_weights(simplex, int_weights, WEIGHT_TOTAL)
-        ys, den = self._scaled(simplex, int_weights, WEIGHT_TOTAL)
-        support = {(i, j) for y in ys for i, row in enumerate(y) for j, v in enumerate(row) if v}
-        if not is_acyclic(support) and unipotent_adjugate(self.size, ys, den) is None:
-            raise ValueError(f"{self.name}: the hook's Y(t) over {simplex} is not nilpotent, so "
-                             "den*I + Y(t) is not certified to have determinant 1")
-        return ys, den
+        (ys, den), = self._substitute(simplex, [int_weights], image)
+        return _rows(ys, self.size), den
 
-    def scaled(self, simplex, int_weights, radii) -> list[tuple[IntRows, int]]:
-        """(den * image, den) of the ray at each integer radius in `radii`.
+    def _substitute(self, simplex, weight_vectors, image):
+        """Yield polynomial's (ys, den) at each weight vector, each coefficient a flat n*n list."""
+        terms, d, acyclic = image
+        n, den = self.size, WEIGHT_TOTAL ** d
+        # each term as (degree - 1, its vertices with multiplicity, [(flat index, c total^(d - degree))])
+        compiled = [(sum(e) - 1, [v for v, a in enumerate(e) for _ in range(a)],
+                     [(i * n + j - n - 1, c * WEIGHT_TOTAL ** (d - sum(e))) for (i, j), c in coeffs.items()])
+                    for e, coeffs in terms.items()]
+        for w in weight_vectors:
+            _check_weights(simplex, w, WEIGHT_TOTAL)
+            ys = [[0] * (n * n) for _ in range(d)]
+            for k, vertices, entries in compiled:
+                x, y = math.prod(map(w.__getitem__, vertices)), ys[k]
+                for idx, c in entries:
+                    y[idx] += c * x
+            while ys and not any(ys[-1]):
+                ys.pop()
+            if not acyclic and unipotent_adjugate(n, _rows(ys, n), den) is None:
+                raise ValueError(f"{self.name}: the image's Y(t) over {simplex} is not nilpotent, so "
+                                 "den*I + Y(t) is not certified to have determinant 1")
+            yield ys, den
 
-        Weights are int_weights / WEIGHT_TOTAL.  A map with a `scaled` hook
-        builds the ray once, as its `polynomial`, and evaluates that at each
-        radius.  Without a hook each radius is evaluated exactly and scaled
-        to integers.
+    def scaled(self, simplex, weight_vectors, radii) -> list[list[tuple[IntRows, int]]]:
+        """Per weight vector (over WEIGHT_TOTAL), (den * image, den) of its ray at each radius.
+
+        A hook's image is read once and each ray's polynomial evaluated at
+        each radius; without a hook each radius is evaluated exactly.
         """
-        poly = self.polynomial(simplex, int_weights)
-        if poly is None:
-            ws = tuple(Fraction(a, WEIGHT_TOTAL) for a in int_weights)
-            return [self._evaluate(ConePoint(tuple(simplex), ws, Fraction(t))).scaled_int() for t in radii]
-        ys, den = poly
+        image = self.image(simplex)
+        if image is None:
+            return [[self._evaluate(ConePoint(simplex, [Fraction(a, WEIGHT_TOTAL) for a in w], t)).scaled_int()
+                     for t in radii] for w in weight_vectors]
         n = self.size
-        head = [den if i % (n + 1) == 0 else 0 for i in range(n * n)]  # den I, flat
-        tail = [tuple(chain.from_iterable(y)) for y in ys]
         out = []
-        for t in radii:
-            flat = head
-            for k, c in enumerate(tail, 1):
-                flat = map(add, flat, map(mul, c, repeat(t ** k)))
-            flat = tuple(flat)
-            out.append((tuple(flat[i:i + n] for i in range(0, n * n, n)), den))
+        for ys, den in self._substitute(simplex, weight_vectors, image):
+            head = [den if i % (n + 1) == 0 else 0 for i in range(n * n)]  # den I, flat
+            ray = []
+            for t in radii:
+                flat = head
+                for k, c in enumerate(ys, 1):
+                    flat = map(add, flat, map(mul, c, repeat(t ** k)))
+                flat = tuple(flat)
+                ray.append((tuple(flat[i:i + n] for i in range(0, n * n, n)), den))
+            out.append(ray)
         return out
 
     def __repr__(self) -> str:
@@ -174,12 +210,9 @@ def heisenberg_domain(n: int) -> SimplicialComplex:
     return sphere_preimage((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-def _int_matrix(n: int, entries: dict) -> IntRows:
-    """The integer n x n matrix with `entries` at 1-based positions."""
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), v in entries.items():
-        rows[i - 1][j - 1] = v
-    return tuple(map(tuple, rows))
+def _linear_terms(simplex) -> dict:
+    """{exponent tuple of x_v: {position of v: sign of v}} over the simplex's vertices v."""
+    return {tuple([int(q == p) for q, _ in simplex]): {p: s} for p, s in simplex}
 
 
 def _entry_map(name: str, n: int, domain: SimplicialComplex, above_only: bool) -> ConeMap:
@@ -188,11 +221,11 @@ def _entry_map(name: str, n: int, domain: SimplicialComplex, above_only: bool) -
     def evaluate(p: ConePoint) -> ExactMatrix:
         return ExactMatrix.from_entries(n, _signed_entries(n, p.simplex, p.weights, p.t, above_only))
 
-    def scaled(simplex, int_weights, total):
-        # total * image(t) = total I + t N
-        return (_int_matrix(n, _signed_entries(n, simplex, int_weights, 1, above_only)),), total
+    def image(simplex):
+        _signed_entries(n, simplex, repeat(1), 1, above_only)  # checks every vertex
+        return _linear_terms(simplex), 1  # Y(x) = sum_v s_v x_v E_p(v)
 
-    return ConeMap(name, domain, n, evaluate, scaled)
+    return ConeMap(name, domain, n, evaluate, image)
 
 
 def heisenberg_map(n: int) -> ConeMap:
@@ -205,11 +238,8 @@ def _split_parts(n: int, simplex, weights, t):
     entries = _signed_entries(n, simplex, weights, t, above_only=False)
     if not is_acyclic(entries):
         raise BadSimplex("signed positions contain an oriented cycle")
-    upper = {}
-    lower = {}
-    for (i, j), v in entries.items():
-        (upper if i < j else lower)[i, j] = v
-    return upper, lower
+    upper = {(i, j): v for (i, j), v in entries.items() if i < j}
+    return upper, {p: v for p, v in entries.items() if p not in upper}
 
 
 def split_map(n: int) -> ConeMap:
@@ -220,36 +250,31 @@ def split_map(n: int) -> ConeMap:
         upper, lower = _split_parts(n, p.simplex, p.weights, p.t)
         return ExactMatrix.from_entries(n, upper) @ ExactMatrix.from_entries(n, lower)
 
-    def scaled(simplex, int_weights, total):
-        # total^2 * U L = (total I + t N_U)(total I + t N_L), expanded in t;
-        # N_U and N_L have disjoint supports
-        upper, lower = _split_parts(n, simplex, int_weights, 1)
-        mid = {pos: total * v for pos, v in chain(upper.items(), lower.items())}
-        ys = (_int_matrix(n, mid),)
-        # N_U N_L is zero unless an upper (i, k) meets a lower (k, l), and
-        # can cancel to zero when one does.  The only lower vertices of L(n)
-        # are the added points ((k, k-1), +), and a simplex takes column k's
-        # sphere or its point, never both, so this term appears only off the
-        # domain
-        if {j for _, j in upper} & {i for i, _ in lower}:
-            y2 = int_matmul(_int_matrix(n, upper), _int_matrix(n, lower))
-            if any(chain.from_iterable(y2)):
-                ys += (y2,)
-        return ys, total * total
+    def image(simplex):
+        # (I + N_U(x))(I + N_L(x)) = I + N_U + N_L + N_U N_L, of declared
+        # degree 2, so den is total^2 on every simplex.  N_U N_L has a term
+        # x_u x_v for each upper u at (i, k) and lower v at (k, l), never on
+        # L(n): its lower vertices are the added points ((k, k-1), +), and a
+        # simplex takes column k's sphere or its point, never both
+        upper, lower = _split_parts(n, simplex, repeat(1), 1)
+        terms = _linear_terms(simplex)
+        terms.update({tuple([(q == (i, k)) + (q == (j, l)) for q, _ in simplex]): {(i, l): s * r}
+                      for (i, k), s in upper.items() for (j, l), r in lower.items() if j == k})
+        return terms, 2
 
-    return ConeMap(f"split(n={n})", obstructor_subcomplex(n), n, evaluate, scaled)
+    return ConeMap(f"split(n={n})", obstructor_subcomplex(n), n, evaluate, image)
 
 
 def superimpose_map(n: int) -> ConeMap:
     """The naive map placing every signed entry in a single matrix: the
     construction of heisenberg_map on the domain of split_map.
 
-    On that domain it is split_map: no simplex of L(n) meets the t^2 term
-    N_U N_L (see split_map), so U L = I + t N / total, its image, on every
-    simplex.  The two maps differ only off the domain, where its bounded
-    pairs of drifting sequences live: its cones on <12+,23+,13+> and
-    <13-,32+> hold such pairs, and <13-,32+> is not a simplex of L(3), since
-    13- lies on the column-3 sphere and 32+ is that column's added point.
+    On that domain it is split_map: no simplex of L(n) has split's N_U N_L
+    terms, so both images are I + N(x).  They differ only off the domain,
+    where its bounded pairs of drifting sequences live: its cones on
+    <12+,23+,13+> and <13-,32+> hold such pairs, and <13-,32+> is not a
+    simplex of L(3): 13- lies on the column-3 sphere and 32+ is that
+    column's added point.
     """
     return _entry_map(f"superimpose(n={n})", n, obstructor_subcomplex(n), above_only=False)
 
@@ -262,36 +287,16 @@ def fibration_compose(alpha: ConeMap, beta: ConeMap, section, embed) -> ConeMap:
     """
     from .complexes import join, relabel
 
-    domain = join(
-        relabel(alpha.domain, lambda v: (0, v)),
-        relabel(beta.domain, lambda v: (1, v)),
-    )
-    probe = embed(alpha(ConePoint((), (), 0))) @ section(beta(ConePoint((), (), 0)))
-    size = probe.n
-
-    def split_point(p: ConePoint):
-        parts = {0: [], 1: []}
-        for v, w in zip(p.simplex, p.weights):
-            tag, raw = v
-            parts[tag].append((raw, w))
-        points = []
-        for tag in (0, 1):
-            mass = sum(w for _, w in parts[tag])
-            if mass == 0:
-                points.append(ConePoint((), (), 0))
-            else:
-                simplex = tuple(v for v, _ in parts[tag])
-                weights = tuple(w / mass for _, w in parts[tag])
-                points.append(ConePoint(simplex, weights, p.t * mass))
-        return points
+    domain = join(relabel(alpha.domain, lambda v: (0, v)), relabel(beta.domain, lambda v: (1, v)))
+    size = (embed(alpha(ConePoint((), (), 0))) @ section(beta(ConePoint((), (), 0)))).n
 
     def evaluate(p: ConePoint) -> ExactMatrix:
-        x, y = split_point(p)
-        g = embed(alpha(x))
-        h = section(beta(y))
-        if g.n != h.n:
-            raise DimensionMismatch(f"{g.n} vs {h.n}")
-        return g @ h
+        parts = {0: [], 1: []}
+        for (tag, raw), w in zip(p.simplex, p.weights):
+            parts[tag].append((raw, w))
+        x, y = (ConePoint([v for v, _ in part], [w / m for _, w in part], p.t * m)
+                if (m := sum(w for _, w in part)) else ConePoint((), (), 0) for part in parts.values())
+        return embed(alpha(x)) @ section(beta(y))  # DimensionMismatch if their sizes differ
 
     return ConeMap(f"fibration({alpha.name},{beta.name})", domain, size, evaluate)
 
@@ -357,15 +362,15 @@ def _prep(cone_map: ConeMap, simplex, m: IntRows, den: int):
     return m_t, adj, den
 
 
-def _ray(cone_map: ConeMap, simplex, weights, radii) -> list[tuple]:
-    """_prep at every radius of the ray of `simplex` at weights `weights` / WEIGHT_TOTAL."""
-    images = cone_map.scaled(simplex, weights, radii)
-    return [_prep(cone_map, simplex, m, den) for m, den in images]
+def _rays(cone_map: ConeMap, simplex, weight_vectors, radii) -> list[list[tuple]]:
+    """_prep at every radius of each ray of `simplex`, at weights in `weight_vectors` / WEIGHT_TOTAL."""
+    return [[_prep(cone_map, simplex, m, den) for m, den in ray]
+            for ray in cone_map.scaled(simplex, weight_vectors, radii)]
 
 
 def _sampled_rays(cone_map: ConeMap, simplex, samples: int, seed: int, radii) -> list[list]:
-    """For each sampled weight vector of `simplex`, its _ray."""
-    return [_ray(cone_map, simplex, w, radii) for w in sample_weight_vectors(len(simplex), samples, seed)]
+    """_rays at the sampled weight vectors of `simplex`."""
+    return _rays(cone_map, simplex, sample_weight_vectors(len(simplex), samples, seed), radii)
 
 
 def _pair_stat(prep_a, prep_b) -> tuple[int, int]:
@@ -394,14 +399,14 @@ def _ray_stat(prep) -> tuple[int, int]:
 def _ray_stats(cone_map: ConeMap, simplex, weights, radii, poly=None) -> list[tuple[int, int]]:
     """_ray_stat of one sampled ray at each radius.
 
-    A map without a `scaled` hook takes its _ray, a _prep per radius.  With one,
+    A map without an `image` hook takes its _rays, a _prep per radius.  With one,
     its polynomial den I + Y(t) is read once (or given): a nilpotent Y gives det
     1 at every t and the adjugate as a polynomial too, and each radius evaluates
     only the entries of den^(n-2) m(t) and adj(t) that can attain the maximum.
     """
     poly = poly or cone_map.polynomial(simplex, weights)
     if poly is None:
-        return list(map(_ray_stat, _ray(cone_map, simplex, weights, radii)))
+        return list(map(_ray_stat, _rays(cone_map, simplex, [weights], radii)[0]))
     ys, den = poly
     n = cone_map.size
     adj = unipotent_adjugate(n, ys, den)
@@ -671,20 +676,16 @@ def divergence_suite(
 
     Each sign orbit of pairs is decided once.  For D = diag(d) in
     _sign_patterns, adj(D A D) D B D = D adj(A) B D, so every integer the
-    suite reads of a pair (its statistics, _ray_bounds and den key) is, up
-    to entry signs, that of the pair conjugated by D.  A pair's orbit key is
-    the least (id_sigma[D], id_tau[D]) over D (_divergence_prep); D = I
-    always gives finite ids, so a key holding math.inf is never least.
-    Equal keys say that one D conjugates both simplices' images, m and den
-    at both ends of every ray, onto the other pair's.  So a pair whose key
-    was seen takes that orbit's verdict: the exact (ok, growth, d_first,
-    d_last), recorded under its own simplices and with its own row, or a
+    suite reads of a pair is, up to entry signs, that of the pair
+    conjugated by D.  A pair's orbit key is the least (id_sigma[D],
+    id_tau[D]) over D (_divergence_prep; math.inf is never least), and
+    equal keys say that one D conjugates both simplices' rays, m and den at
+    both ends, onto the other pair's.  A pair whose key was seen takes that
+    orbit's verdict under its own simplices and row: the exact one, or a
     PASS with growth inf if the orbit cleared the bounds, which proved a
-    growth above the min_growth of that time.  A copied growth is never
-    below min_growth, so the threshold is not formed again.  The keys read
-    images, never hooks.  A pair's verdict is kept until the suite has
-    passed the last simplex of sigma's orbit, after which no pair starts in
-    that orbit.
+    growth above the min_growth of that time.  The keys read the rays'
+    integers, not the image.  An orbit's verdicts are dropped once the
+    suite has passed the last simplex of sigma's orbit.
 
     On heisenberg, split and superimpose maps the t-linear part of A^-1 B
     is t c (N_tau - N_sigma), nonzero for disjoint nonempty sigma and tau,
@@ -748,29 +749,24 @@ def properness_test(
 
     For each simplex and each sampled interior point, the size statistic
     must be nondecreasing along the radius schedule and must grow by the
-    margin overall.
-
-    On heisenberg, split and superimpose maps the t-linear part of the image
-    is t c N_sigma(w), nonzero on every nonempty simplex at interior
-    weights, so every fixed-weight ray leaves every bounded set; a PASS adds
-    only the monotone check and the growth by the factor.
+    margin overall.  On heisenberg, split and superimpose maps the t-linear
+    part of the image is t c N_sigma(w), nonzero on every nonempty simplex
+    at interior weights, so every fixed-weight ray leaves every bounded set;
+    a PASS adds only the monotone check and the growth by the factor.
 
     The monotone check depends on the sampling seed: at seeds 3, 4 and 8,
     eight facet rays of heisenberg_map(4) and of split_map(4) FAIL as
     non-monotone although each grows by more than e^35 over the schedule.
-    Images must have determinant 1, and a hook's Y(t) must be nilpotent,
-    checked once per ray (ValueError otherwise).
+    Images must have determinant 1, and a hook's image is read and checked
+    once per simplex (ConeMap.image; ValueError otherwise).
 
-    A hook map's ray takes the verdict of an earlier ray of the same simplex
-    size with an equal key: den, and the flat coefficients times the sign
-    pattern d_i d_j (d in {+-1}^n) that makes that product least on the
-    first hook ray of the simplex.  Equal keys give Y'(t) = D Y(t) D with D
-    a diagonal sign matrix, whichever patterns were picked, so what the
-    statistic reads, den^(n-2) (den I + Y(t)) and adj = sum_k (-1)^k
-    den^(n-1-k) Y(t)^k, changes only in entry signs: every per-radius
-    integer is equal, and so are the monotone verdict, the growth and the
-    failure record, which keeps this ray's simplex.  Hookless rays are all
-    computed.
+    A hook map's ray takes the verdict of an earlier ray with an equal key:
+    d, the image's terms times the sign pattern d_i d_j (d in {+-1}^n) that
+    makes them least, and the weights.  Equal keys give Y'(x) = D Y(x) D at
+    the same x, D a diagonal sign matrix, so den^(n-2) (den I + Y(t)) and
+    adj = sum_k (-1)^k den^(n-1-k) Y(t)^k differ only in entry signs, and
+    every per-radius integer of the statistic is equal.  Only computed rays
+    are substituted.
     """
     t0 = time.perf_counter()
     radii = tuple(radii) if radii is not None else default_radii()
@@ -779,24 +775,23 @@ def properness_test(
     n = cone_map.size
     patterns = _sign_patterns(n)
     for _, layer in groupby(_simplices_sorted(cone_map.domain), len):
-        seen = {}  # key -> (ok, growth, monotone) over this simplex size
+        seen = {}  # (key, w) -> (ok, growth, monotone) over this simplex size
         for s in layer:
-            label, signs = repr(s), None
+            label, image, key = repr(s), cone_map.image(s), None
+            if image:
+                # the terms' exponents and positions as one flat tuple, then their signed coefficients
+                terms = sorted([(e, ij, c) for e, cs in image[0].items() for ij, c in cs.items()])
+                key = (image[1], tuple([x for e, ij, _ in terms for x in (*e, *ij)]),
+                       min([tuple([c * p[i * n + j - n - 1] for _, (i, j), c in terms]) for p in patterns]))
             for w in sample_weight_vectors(len(s), samples, seed):
-                poly = cone_map.polynomial(s, w)
-                key = None
-                if poly:
-                    flat = tuple(chain.from_iterable(chain.from_iterable(poly[0])))
-                    signs = signs or min(patterns, key=lambda p: tuple(map(mul, flat, cycle(p))))
-                    key = poly[1], tuple(map(mul, flat, cycle(signs)))
-                verdict = seen.get(key)
+                verdict = seen.get((key, w))
                 if verdict is None:
-                    stats = _ray_stats(cone_map, s, w, radii, poly)
+                    stats = _ray_stats(cone_map, s, w, radii, image and cone_map.polynomial(s, w, image))
                     monotone = all(map(_grew, stats, stats[1:], repeat(1)))
                     growth = _log_stat(stats[-1]) - _log_stat(stats[0])
                     verdict = monotone and _grew(stats[0], stats[-1], growth_factor), growth, monotone
-                    if poly:
-                        seen[key] = verdict
+                    if image:
+                        seen[key, w] = verdict
                 ok, growth, monotone = verdict
                 report.record(ok, growth, {"simplex": label, "monotone": monotone, "growth": round(growth, 4)})
     report.elapsed_s = time.perf_counter() - t0
@@ -838,33 +833,20 @@ def split_growth_experiment(n: int, magnitude: int, samples: int, seed: int = 0)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(f"{seed}|{n}|{magnitude}")
-    lo = hi = None
+    entries = []
     for _ in range(samples):
-        def rand_upper():
-            e = {}
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    e[(i, j)] = rng.randint(-3, 3)
-            return ExactMatrix.from_entries(n, e)
-
-        u, u2 = rand_upper(), rand_upper()
+        u, u2 = (ExactMatrix.from_entries(n, {(i, j): rng.randint(-3, 3) for i in range(1, n + 1)
+                                              for j in range(i + 1, n + 1)}) for _ in range(2))
         owners = [rng.randrange(2) for _ in range(n - 1)]
-        values = []
-        for _ in range(n - 1):
-            v = rng.randint(1, magnitude) * rng.choice((1, -1))
-            values.append(v)
+        values = [rng.randint(1, magnitude) * rng.choice((1, -1)) for _ in range(n - 1)]
         k = rng.randrange(n - 1)
         values[k] = magnitude * rng.choice((1, -1))
         lam_e, lam2_e = {}, {}
         for j in range(1, n):
             (lam_e if owners[j - 1] == 0 else lam2_e)[(j + 1, j)] = values[j - 1]
-        lam = ExactMatrix.from_entries(n, lam_e)
-        lam2 = ExactMatrix.from_entries(n, lam2_e)
-        s = split_residual(u, lam, u2, lam2)
-        m = int(s.max_abs())
-        lo = m if lo is None else min(lo, m)
-        hi = m if hi is None else max(hi, m)
-    return GrowthResult(n, magnitude, samples, seed, lo, hi)
+        s = split_residual(u, ExactMatrix.from_entries(n, lam_e), u2, ExactMatrix.from_entries(n, lam2_e))
+        entries.append(int(s.max_abs()))
+    return GrowthResult(n, magnitude, samples, seed, min(entries), max(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,50 @@ def test_cli_diverge_small(capsys):
     assert data["divergence"]["failed"] == 0
 
 
+def _suites_recorded(monkeypatch):
+    """Stand-ins for the two suites that record the maps they were given."""
+    from obstructor import conemaps
+
+    started = []
+    for name in ("divergence_suite", "properness_test"):
+        real = getattr(conemaps, name)
+        monkeypatch.setattr(conemaps, name, lambda cm, *args, real=real, **kwargs: (
+            started.append(cm.name), real(conemaps.heisenberg_map(2), samples=1))[1])
+    return started
+
+
+def test_cli_diverge_refuses_more_pairs_than_its_limit(capsys, monkeypatch):
+    started = _suites_recorded(monkeypatch)
+    for name, pairs in (("heisenberg", "141,178,576"), ("split", "443,034,201")):
+        assert main(["diverge", "--map", name, "--n", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f": {pairs} disjoint pairs, over the limit of 1,000,000" in err
+        # the count grows with n, and is not formed past n = 5
+        assert main(["diverge", "--map", name, "--n", "10000000"]) == 2
+        assert f": more than {pairs} disjoint pairs" in capsys.readouterr().err
+    assert started == []
+    # n = 4 is under the limit: both suites start
+    assert main(["diverge", "--map", "split", "--n", "4", "--json"]) == 0
+    capsys.readouterr()
+    assert started == ["split(n=4)", "split(n=4)"]
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "split"])
+def test_cli_pair_counts_are_the_suites_totals(name):
+    from obstructor import conemaps
+    from obstructor.cli import DIVERGE_MAX_PAIRS, _disjoint_pairs
+
+    builder = conemaps.heisenberg_map if name == "heisenberg" else conemaps.split_map
+    for n in (2, 3):
+        assert _disjoint_pairs(name, n) == conemaps.divergence_suite(builder(n), samples=1).total
+    assert _disjoint_pairs(name, 4) == {"heisenberg": 58_096, "split": 171_774}[name] <= DIVERGE_MAX_PAIRS
+
+
+def test_cli_diverge_runs_heisenberg_4(capsys):
+    assert main(["diverge", "--map", "heisenberg", "--n", "4", "--aligned", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["divergence"]["pairs"] == 58_096
+
+
 def test_cli_usage_errors(capsys):
     assert main(["lemma-key"]) == 2
     assert main(["complex"]) == 2

@@ -42,7 +42,6 @@ from obstructor.conemaps import (
     _bounded_pass,
     _divergence_prep,
     _grew,
-    _int_matrix,
     _log_stat,
     _pair_stat,
     _pair_verdict,
@@ -133,12 +132,12 @@ def test_split_image_has_determinant_one():
         assert int_det_adjugate(rows)[0] == den ** 4
 
 
-# heisenberg, split and superimpose build each ray from their polynomial hook
+# heisenberg, split and superimpose build each ray from their image hook
 SCALED_MAPS = [heisenberg_map(3), heisenberg_map(4), split_map(3), split_map(4), superimpose_map(3)]
 
 
 def _assert_scaled_matches_exact(cm, simplex, weights, radii):
-    images = cm.scaled(simplex, weights, radii)
+    images, = cm.scaled(simplex, [weights], radii)
     assert len(images) == len(radii)
     ws = [Fraction(a, WEIGHT_TOTAL) for a in weights]
     for (rows, den), t in zip(images, radii):
@@ -156,12 +155,12 @@ def test_scaled_path_matches_exact_path():
             s = tuple(sorted(s))
             for ws in sample_weight_vectors(len(s), 2, k):
                 _assert_scaled_matches_exact(cm, s, ws, ORACLE_RADII)
-    # no domain simplex of split_map has a t^2 term in its image, and the
-    # hook leaves that term out; <23+,31+> has one, which must be kept
+    # no domain simplex of split_map has a degree-2 term in its image;
+    # <23+,31+> has one, which must be kept
     for n in (3, 4):
         off_domain = (((2, 3), 1), ((3, 1), 1))
-        ys, _ = split_map(n)._scaled(off_domain, (20, 40), WEIGHT_TOTAL)
-        assert any(chain.from_iterable(ys[1]))
+        terms, _ = split_map(n)._image(off_domain)
+        assert any(sum(e) == 2 and any(c.values()) for e, c in terms.items())
         _assert_scaled_matches_exact(split_map(n), off_domain, (20, 40), ORACLE_RADII)
 
 
@@ -220,7 +219,7 @@ def _hook_rays(draw):
 @example((HOOK_MAPS["split_map", 4], OFF_DOMAIN, (13, 47), (2 ** 20, 3, 1, 0)))
 def test_ray_stats_from_the_polynomial_match_prep_at_every_radius(ray):
     cm, s, weights, radii = ray
-    images = cm.scaled(s, weights, radii)
+    images, = cm.scaled(s, [weights], radii)
     expected = [_ray_stat(_prep(cm, s, m, den)) for m, den in images]
     assert _ray_stats(cm, s, weights, radii) == expected
 
@@ -231,7 +230,7 @@ def test_ray_stats_see_the_t2_term_off_the_domain():
         ys, _ = cm.polynomial(OFF_DOMAIN, (20, 40))
         assert len(ys) == 2 and any(chain.from_iterable(ys[1]))
         radii = (0, 1, 7, 2 ** 20)
-        images = cm.scaled(OFF_DOMAIN, (20, 40), radii)
+        images, = cm.scaled(OFF_DOMAIN, [(20, 40)], radii)
         assert _ray_stats(cm, OFF_DOMAIN, (20, 40), radii) == [
             _ray_stat(_prep(cm, OFF_DOMAIN, m, den)) for m, den in images
         ]
@@ -264,15 +263,15 @@ def _hooked(hook):
 
 
 @pytest.mark.parametrize("hook", [
-    # Y = t diag(1, -1), not nilpotent
-    lambda s, w, total: ((((1, 0), (0, -1)),), total),
-    # Y = t (0, total; 1, 0) + t^2 (1, 0; 0, 0): det 1 at every t, yet Y(t)
-    # has trace t^2, so the image is not unipotent
-    lambda s, w, total: ((((0, total), (1, 0)), ((1, 0), (0, 0))), total),
+    # Y = x diag(1, -1), not nilpotent
+    lambda s: ({(1,): {(1, 1): 1, (2, 2): -1}}, 1),
+    # Y = x (0, 1; 1, 0) + x^2 (1, 0; 0, 0): det 1 at every x, yet Y(x)
+    # has trace x^2, so the image is not unipotent
+    lambda s: ({(1,): {(1, 2): 1, (2, 1): 1}, (2,): {(1, 1): 1}}, 2),
 ])
 def test_hooks_outside_the_contract_are_refused(hook):
-    # ConeMap.polynomial enforces the contract for every reader; the
-    # determinant checks alone pass the second hook
+    # ConeMap enforces the contract for every reader; the determinant
+    # checks alone pass the second hook
     with pytest.raises(ValueError, match="determinant 1"):
         properness_test(_hooked(hook), radii=(1, 2 ** 20), samples=1)
     with pytest.raises(ValueError, match="determinant 1"):
@@ -282,19 +281,71 @@ def test_hooks_outside_the_contract_are_refused(hook):
 
 
 def test_a_unipotent_hook_is_accepted():
-    # Y = t N with N nilpotent: the same hook shape as heisenberg_map(2)
-    hook = lambda s, w, total: ((((0, w[0]), (0, 0)),), total)  # noqa: E731
+    # Y = x N with N nilpotent: the same image as heisenberg_map(2)'s
+    hook = lambda s: ({(1,): {(1, 2): 1}}, 1)  # noqa: E731
     assert properness_test(_hooked(hook), radii=(1, 2 ** 20), samples=1).all_passed
 
 
+def test_a_nilpotent_image_with_a_cyclic_support_is_accepted(monkeypatch):
+    # Y = x (1, 1; -1, -1): its support holds loops and a 2-cycle, yet Y^2 = 0,
+    # which each ray's substitution checks
+    hook = lambda s: ({(1,): {(1, 1): 1, (1, 2): 1, (2, 1): -1, (2, 2): -1}}, 1)  # noqa: E731
+    assert _hooked(hook).image((((1, 2), 1),))[2] is False
+    checked = _counted(monkeypatch, "unipotent_adjugate")
+    assert properness_test(_hooked(hook), radii=(1, 2 ** 20), samples=1).all_passed
+    # one ray is computed, as both simplices have this image: the
+    # substitution's check and the statistic's adjugate
+    assert len(checked) == 2
+    # both simplices go to one image, so the single pair cannot diverge
+    assert divergence_suite(_hooked(hook), samples=1).total == 1
+
+
 def test_an_old_format_hook_is_refused_by_both_suites():
-    # a hook that still returns den*I as its first matrix reads as
-    # Y(t) = t den I + t^2 N: not nilpotent, and det(den I + Y(1)) = (2 den)^n
-    hook = lambda s, w, total: ((((total, 0), (0, total)), ((0, w[0]), (0, 0))), total)  # noqa: E731
+    # a hook that still gives I as a term, now a constant one: I + (I + x N)
+    # is not unipotent, and its determinant is 2^n
+    hook = lambda s: ({(0,): {(1, 1): 1, (2, 2): 1}, (1,): {(1, 2): 1}}, 1)  # noqa: E731
     with pytest.raises(ValueError, match="determinant 1"):
         properness_test(_hooked(hook), radii=(1, 2 ** 20), samples=1)
     with pytest.raises(ValueError, match="determinant 1"):
         divergence_suite(_hooked(hook), samples=1)
+
+
+# each suite reads and checks each simplex's image once
+
+
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+def test_each_suite_reads_each_simplex_image_once(builder, monkeypatch):
+    cm = builder(3)
+    simplices = _simplices_sorted(cm.domain)
+    acyclic = _counted(monkeypatch, "is_acyclic")
+    for suite in (properness_test, divergence_suite):
+        expected = _fingerprint(suite(cm))
+        calls = []
+        counted = ConeMap(cm.name, cm.domain, cm.size, cm.__call__, lambda s: calls.append(s) or cm._image(s))
+        acyclic.clear()
+        assert _fingerprint(suite(counted)) == expected
+        assert calls == simplices
+        # the support's check, and split's own BadSimplex test: per simplex, not per ray
+        assert len(acyclic) == (2 if builder is split_map else 1) * len(simplices)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_split_keeps_den_total_squared_on_its_domain(n):
+    # N_U N_L is zero on L(n), yet the declared degree 2 keeps den = total^2
+    cm = split_map(n)
+    for s in _simplices_sorted(cm.domain):
+        image = cm.image(s)
+        for w in sample_weight_vectors(len(s), 8, 0):
+            ys, den = cm.polynomial(s, w, image)
+            assert den == WEIGHT_TOTAL ** 2 and len(ys) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_superimpose_and_split_images_have_equal_terms_on_the_domain(n):
+    split, naive = split_map(n), superimpose_map(n)
+    for s in _simplices_sorted(split.domain):
+        (split_terms, d, _), (naive_terms, e, _) = split.image(s), naive.image(s)
+        assert split_terms == naive_terms and (d, e) == (2, 1)
 
 
 @pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
@@ -318,23 +369,24 @@ def test_negative_radii_are_refused_for_every_map(builder):
 def test_scaled_validates_the_simplex():
     h, m = heisenberg_map(3), split_map(3)
     with pytest.raises(BadVertex):
-        h.scaled((((2, 1), 1),), (WEIGHT_TOTAL,), (1,))
+        h.scaled((((2, 1), 1),), [(WEIGHT_TOTAL,)], (1,))
     with pytest.raises(BadSimplex):
-        m.scaled((((1, 2), 1), ((2, 1), 1)), (30, 30), (1,))
+        m.scaled((((1, 2), 1), ((2, 1), 1)), [(30, 30)], (1,))
     for cm in (h, m):
         with pytest.raises(BadSimplex):
-            cm.scaled((((1, 2), 1), ((1, 2), -1)), (30, 30), (1,))
+            cm.scaled((((1, 2), 1), ((1, 2), -1)), [(30, 30)], (1,))
 
 
 @pytest.mark.parametrize("build", [
     lambda: heisenberg_map(3), lambda: split_map(3), lambda: superimpose_map(3),
-    # a hook that reads only the weights, and checks none of them
-    lambda: _hooked(lambda s, w, total: ((((0, w[0]), (0, 0)),), total)),
+    # an image that reads no vertex, and checks none of them
+    lambda: _hooked(lambda s: ({(1,) + (0,) * (len(s) - 1): {(1, 2): 1}}, 1)),
 ], ids=["heisenberg", "split", "superimpose", "hooked"])
 def test_hook_paths_refuse_the_weights_the_exact_path_refuses(build):
-    # the hooks zip the simplex with its weights: one weight too few or too
-    # many would drop a vertex, or a weight, without a word; and weights
-    # that are not a cone point's would give a ray that is not one
+    # the substitution zips the image's exponents with the weights: one
+    # weight too few or too many would drop a vertex, or a weight, without a
+    # word; and weights that are not a cone point's would give a ray that is
+    # not one
     cm = build()
     simplex = (((1, 2), 1), ((1, 3), 1))
     for weights, message in (
@@ -344,12 +396,12 @@ def test_hook_paths_refuse_the_weights_the_exact_path_refuses(build):
         ((70, -10), "weights must be nonnegative"),
     ):
         with pytest.raises(ValueError, match=message):
-            cm.scaled(simplex, weights, (1,))
+            cm.scaled(simplex, [weights], (1,))
         with pytest.raises(ValueError, match=message):
             cm.polynomial(simplex, weights)
         # as the exact path refuses the same cone point
         with pytest.raises(ValueError, match=message):
-            _hookless(cm).scaled(simplex, weights, (1,))
+            _hookless(cm).scaled(simplex, [weights], (1,))
 
 
 ORDER_DOMAINS = {
@@ -449,19 +501,20 @@ def test_properness_with_one_sample_computes_one_ray_per_sign_class(builder, com
     assert len(calls) == computed == _sign_classes(cm, 0, samples=1) < report.total
 
 
-def _lopsided_hook(simplex, int_weights, total):
-    # weight w on a + entry and 2w on a - entry: nilpotent, but flipping a
+def _unit(simplex, k):
+    return tuple(int(v == k) for v in range(len(simplex)))
+
+
+def _lopsided_hook(simplex):
+    # x on a + entry and 2x on a - entry: nilpotent, but flipping a
     # vertex's sign is not conjugation by a sign matrix
-    rows = [[0] * 3 for _ in range(3)]
-    for ((i, j), s), a in zip(simplex, int_weights):
-        rows[i - 1][j - 1] = s * a * (1 if s == 1 else 2)
-    return (tuple(map(tuple, rows)),), total
+    return {_unit(simplex, k): {p: s * (1 if s == 1 else 2)} for k, (p, s) in enumerate(simplex)}, 1
 
 
-def _den_only_hook(simplex, int_weights, total):
-    # the coefficients are the vertex signs alone and only den follows the
-    # weights, so every sample of a simplex shares its coefficients
-    return (_int_matrix(3, {p: s for p, s in simplex}),), total + int_weights[0]
+def _den_only_hook(simplex):
+    # sign-conjugate simplices get conjugate terms, but the declared degree,
+    # and with it den, follows the first vertex's sign
+    return {_unit(simplex, k): {p: s} for k, (p, s) in enumerate(simplex)}, 1 + (simplex[0][1] < 0)
 
 
 def _heisenberg_3_hooked(name, hook):
@@ -622,7 +675,7 @@ def test_superimpose_counterexample_and_split_fix():
 
 def _exact_images(cm, simplex, weights, radii):
     return [ExactMatrix([[Fraction(v, den) for v in row] for row in rows])
-            for rows, den in cm.scaled(simplex, weights, radii)]
+            for rows, den in cm.scaled(simplex, [weights], radii)[0]]
 
 
 def test_superimpose_is_split_on_the_domain():
@@ -1142,8 +1195,8 @@ def test_orbit_reuse_stays_exact_on_a_hook_that_is_not_sign_equivariant(seed, mo
         assert _fingerprint(divergence_suite(cm, seed=seed, pairing=pairing)) == _fingerprint(reference)
 
 
-def test_orbit_reuse_stays_exact_when_only_den_follows_the_weights():
-    # every image is den I + t Y with the signs alone in Y: den sits on the
+def test_orbit_reuse_stays_exact_when_den_follows_a_vertex_sign():
+    # den = total or total^2 by the first vertex's sign: den sits on the
     # diagonal of each compared image
     cm = _heisenberg_3_hooked("den-only", _den_only_hook)
     prep = [(s, _sampled_rays(cm, s, 8, 0, (1, 2 ** 20))) for s in _simplices_sorted(cm.domain)]
