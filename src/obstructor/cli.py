@@ -107,6 +107,19 @@ def cmd_lemma_key(args) -> int:
     return 0 if ok else 1
 
 
+COMPLEX_MAX_CELLS = 10 ** 6  # L(5) has 91,839 simplices, L(6) 75,735 facets
+
+
+def _obstructor_count(n: int, base: int) -> int:
+    """prod_{k=2..n} (base^(k-1) + 1): at base 3 the simplices of L(n), the
+    empty one included, at base 2 its facets.
+
+    L(n) joins, per column k, the (k-2)-sphere on its k - 1 signed positions
+    (3^(k-1) faces with the empty one, 2^(k-1) facets) and its added point.
+    """
+    return math.prod(base ** (k - 1) + 1 for k in range(2, n + 1))
+
+
 def cmd_complex(args) -> int:
     if not _one_selector(args, "cuspidal", "doubled", "obstructor"):
         return 2
@@ -117,6 +130,13 @@ def cmd_complex(args) -> int:
         x = complexes.signed_double(complexes.arrow_complex(args.doubled))
         name = f"SC({args.doubled})"
     elif args.obstructor is not None:
+        n = min(args.obstructor, 8)  # the counts grow with n; n = 7 has more facets than the limit
+        for count, cells, asked in ((_obstructor_count(n, 2), "facets", True),
+                                    (_obstructor_count(n, 3) - 1, "simplices", args.betti or args.f_vector)):
+            if asked and count > COMPLEX_MAX_CELLS:
+                print(f"complex --obstructor {args.obstructor}: {'more than ' * (args.obstructor > n)}"
+                      f"{count:,} {cells}, over the limit of {COMPLEX_MAX_CELLS:,}", file=sys.stderr)
+                return 2
         x = complexes.obstructor_subcomplex(args.obstructor)
         name = f"L({args.obstructor})"
     else:
@@ -188,7 +208,7 @@ def _disjoint_pairs(map_name: str, n: int) -> int:
     p, ks = n * (n - 1) // 2, range(2, n + 1)
     # ordered disjoint pairs, and simplices, the empty simplex included
     both, one = (7 ** p, 3 ** p) if map_name == "heisenberg" else (
-        math.prod(7 ** (k - 1) + 2 * 3 ** (k - 1) for k in ks), math.prod(3 ** (k - 1) + 1 for k in ks))
+        math.prod(7 ** (k - 1) + 2 * 3 ** (k - 1) for k in ks), _obstructor_count(n, 3))
     return (both - 2 * one + 1) // 2
 
 

@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, cycle, groupby, islice, product, repeat
+from itertools import chain, groupby, islice, product, repeat
 from operator import add, mul
 
 from .complexes import SimplicialComplex, is_acyclic, obstructor_subcomplex, sphere_preimage
@@ -156,13 +156,14 @@ class ConeMap:
                                  "den*I + Y(t) is not certified to have determinant 1")
             yield ys, den
 
-    def scaled(self, simplex, weight_vectors, radii) -> list[list[tuple[IntRows, int]]]:
+    def scaled(self, simplex, weight_vectors, radii, image=None) -> list[list[tuple[IntRows, int]]]:
         """Per weight vector (over WEIGHT_TOTAL), (den * image, den) of its ray at each radius.
 
-        A hook's image is read once and each ray's polynomial evaluated at
-        each radius; without a hook each radius is evaluated exactly.
+        A hook's image (`image`, or ConeMap.image) is read once and each
+        ray's polynomial evaluated at each radius; without a hook each
+        radius is evaluated exactly.
         """
-        image = self.image(simplex)
+        image = image or self.image(simplex)
         if image is None:
             return [[self._evaluate(ConePoint(simplex, [Fraction(a, WEIGHT_TOTAL) for a in w], t)).scaled_int()
                      for t in radii] for w in weight_vectors]
@@ -362,15 +363,15 @@ def _prep(cone_map: ConeMap, simplex, m: IntRows, den: int):
     return m_t, adj, den
 
 
-def _rays(cone_map: ConeMap, simplex, weight_vectors, radii) -> list[list[tuple]]:
+def _rays(cone_map: ConeMap, simplex, weight_vectors, radii, image=None) -> list[list[tuple]]:
     """_prep at every radius of each ray of `simplex`, at weights in `weight_vectors` / WEIGHT_TOTAL."""
     return [[_prep(cone_map, simplex, m, den) for m, den in ray]
-            for ray in cone_map.scaled(simplex, weight_vectors, radii)]
+            for ray in cone_map.scaled(simplex, weight_vectors, radii, image)]
 
 
-def _sampled_rays(cone_map: ConeMap, simplex, samples: int, seed: int, radii) -> list[list]:
+def _sampled_rays(cone_map: ConeMap, simplex, samples: int, seed: int, radii, image=None) -> list[list]:
     """_rays at the sampled weight vectors of `simplex`."""
-    return _rays(cone_map, simplex, sample_weight_vectors(len(simplex), samples, seed), radii)
+    return _rays(cone_map, simplex, sample_weight_vectors(len(simplex), samples, seed), radii, image)
 
 
 def _pair_stat(prep_a, prep_b) -> tuple[int, int]:
@@ -578,48 +579,48 @@ def _sign_patterns(n: int) -> list[tuple[int, ...]]:
     return [tuple(a * b for a in d for b in d) for d in product((1, -1), repeat=n) if d[0] == 1]
 
 
-def _conjugation_ids(images: dict, patterns) -> dict:
-    """{id: [the id of its image conjugated by each pattern]}, math.inf where no simplex has it.
+def _conjugates(image, n: int, patterns) -> list[tuple]:
+    """The key of a checked image conjugated by each sign pattern, in the patterns' order.
 
-    `images` maps each flat image to its id, the index of the first simplex
-    with it.  D X D = Y gives D Y D = X, so each conjugate found is looked
-    up once.
+    A key is the declared degree, the sorted terms' exponents and flat
+    positions, then their coefficients times the pattern's signs d_i d_j.
+    When one image's key under the pattern of D = diag(d) is another's
+    under the identity, which _sign_patterns puts first, the images are
+    conjugate by D and have one den.
     """
-    ids = {}
-    for flat, c in images.items():
-        row = ids.setdefault(c, [c] + [None] * (len(patterns) - 1))
-        for k, p in enumerate(patterns):
-            if row[k] is None:
-                row[k] = e = images.get(tuple(map(mul, flat, cycle(p))), math.inf)
-                if e != math.inf:
-                    ids.setdefault(e, [e] + [None] * (len(patterns) - 1))[k] = c
-    return ids
+    terms, d, _ = image
+    terms = sorted([(e, i * n + j - n - 1, c) for e, cs in terms.items() for (i, j), c in cs.items()])
+    head = d, tuple([x for e, ij, _ in terms for x in (*e, ij)])
+    return [(*head, tuple([c * p[ij] for _, ij, c in terms])) for p in patterns]
 
 
 def _divergence_prep(cone_map: ConeMap, samples: int, seed: int, ends) -> list[list]:
     """Per simplex in suite order: vertex bit mask, repr, sampled rays, their
     _ray_bounds, den key (None unless every ray shares its dens) and ids.
 
-    A simplex's image is m^T and den at both ends of every ray, as one flat
-    tuple; its ids are the _conjugation_ids row of its image among the
-    simplices of its size, all interned before any conjugate is looked up.
+    A simplex's image is read once.  Its ids[k] is the index of the first
+    simplex of its size whose image is its own conjugated by the k-th sign
+    pattern (_conjugates), math.inf where none is; a simplex of a map
+    without a hook has its own index alone.
     """
-    patterns = [p + (1,) for p in _sign_patterns(cone_map.size)]  # den follows each m in a flat image
+    n = cone_map.size
+    patterns = _sign_patterns(n)
     bits = {v: 1 << k for k, v in enumerate(cone_map.domain.vertices)}
     prep = []
     for _, layer in groupby(_simplices_sorted(cone_map.domain), len):
-        start, images = len(prep), {}
+        start, first = len(prep), {}
         for s in layer:
-            rays = _sampled_rays(cone_map, s, samples, seed, ends)
+            image = cone_map.image(s)
+            rays = _sampled_rays(cone_map, s, samples, seed, ends, image)
             bounds = [_ray_bounds(r) for r in rays]
             dens = {(b[2], b[5]) for b in bounds}
-            flat = tuple(chain.from_iterable(chain(chain.from_iterable(m_t), (den,))
-                                             for ray in rays for m_t, _, den in ray))
+            conjugates = image and _conjugates(image, n, patterns)
+            if conjugates:
+                first.setdefault(conjugates[0], len(prep))
             mask, key = sum(map(bits.__getitem__, s)), dens.pop() if len(dens) == 1 else None
-            prep.append([mask, repr(s), rays, bounds, key, images.setdefault(flat, len(prep))])
-        ids = _conjugation_ids(images, patterns)
-        for entry in prep[start:]:
-            entry[5] = ids[entry[5]]
+            prep.append([mask, repr(s), rays, bounds, key, conjugates])
+        for k, entry in enumerate(prep[start:], start):
+            entry[5] = [first.get(c, math.inf) for c in entry[5]] if entry[5] else [k]
     return prep
 
 
@@ -677,15 +678,14 @@ def divergence_suite(
     Each sign orbit of pairs is decided once.  For D = diag(d) in
     _sign_patterns, adj(D A D) D B D = D adj(A) B D, so every integer the
     suite reads of a pair is, up to entry signs, that of the pair
-    conjugated by D.  A pair's orbit key is the least (id_sigma[D],
-    id_tau[D]) over D (_divergence_prep; math.inf is never least), and
-    equal keys say that one D conjugates both simplices' rays, m and den at
-    both ends, onto the other pair's.  A pair whose key was seen takes that
-    orbit's verdict under its own simplices and row: the exact one, or a
-    PASS with growth inf if the orbit cleared the bounds, which proved a
-    growth above the min_growth of that time.  The keys read the rays'
-    integers, not the image.  An orbit's verdicts are dropped once the
-    suite has passed the last simplex of sigma's orbit.
+    conjugated by D.  A pair's orbit key is the least id_sigma[D] *
+    len(prep) + id_tau[D] over D (_divergence_prep; math.inf is never
+    least), and equal keys say that one D conjugates both simplices'
+    images, d and terms (_conjugates), onto the other pair's, and so their
+    rays at the same weights.  A pair whose key was seen takes that orbit's
+    verdict under its own simplices and row: the exact one, or a PASS with
+    growth inf if the orbit cleared the bounds, which proved a growth above
+    the min_growth of that time.  A map without a hook gets no copies.
 
     On heisenberg, split and superimpose maps the t-linear part of A^-1 B
     is t c (N_tau - N_sigma), nonzero for disjoint nonempty sigma and tau,
@@ -705,10 +705,9 @@ def divergence_suite(
     report = SuiteReport(cone_map.name, "divergence", sampling=pairing)
     threshold = None
     cleared = object()  # the verdict of an orbit that cleared _bounded_pass
-    seen = {}  # least id of sigma's orbit -> {pair orbit key: cleared, or (ok, growth, d_first, d_last)}
+    verdicts = {}  # pair orbit key -> cleared, or (ok, growth, d_first, d_last)
     for i, (mask_a, repr_a, rays_a, bounds_a, key_a, ids_a) in enumerate(prep):
         scaled_a = [c * len(prep) for c in ids_a]  # a key is id_sigma * len(prep) + id_tau
-        verdicts = seen.setdefault(min(ids_a), {})
         for mask_b, repr_b, rays_b, bounds_b, key_b, ids_b in islice(prep, i + 1, None):
             if mask_a & mask_b:
                 continue
@@ -732,8 +731,6 @@ def divergence_suite(
             if collect_rows:
                 row = PairReport(repr_a, repr_b, ends, [d_first, d_last], growth, "PASS" if ok else "FAIL")
                 report.rows.append(row.to_json())
-        if i == max(filter(math.isfinite, ids_a)):  # no later pair starts in sigma's orbit
-            del seen[min(ids_a)]
     report.elapsed_s = time.perf_counter() - t0
     return report
 
@@ -761,12 +758,11 @@ def properness_test(
     once per simplex (ConeMap.image; ValueError otherwise).
 
     A hook map's ray takes the verdict of an earlier ray with an equal key:
-    d, the image's terms times the sign pattern d_i d_j (d in {+-1}^n) that
-    makes them least, and the weights.  Equal keys give Y'(x) = D Y(x) D at
-    the same x, D a diagonal sign matrix, so den^(n-2) (den I + Y(t)) and
-    adj = sum_k (-1)^k den^(n-1-k) Y(t)^k differ only in entry signs, and
-    every per-radius integer of the statistic is equal.  Only computed rays
-    are substituted.
+    the least of its image's _conjugates, and the weights.  Equal keys give
+    Y'(x) = D Y(x) D at the same x, D a diagonal sign matrix, and the same
+    den, so den^(n-2) (den I + Y(t)) and adj = sum_k (-1)^k den^(n-1-k)
+    Y(t)^k differ only in entry signs, and every per-radius integer of the
+    statistic is equal.  Only computed rays are substituted.
     """
     t0 = time.perf_counter()
     radii = tuple(radii) if radii is not None else default_radii()
@@ -777,12 +773,8 @@ def properness_test(
     for _, layer in groupby(_simplices_sorted(cone_map.domain), len):
         seen = {}  # (key, w) -> (ok, growth, monotone) over this simplex size
         for s in layer:
-            label, image, key = repr(s), cone_map.image(s), None
-            if image:
-                # the terms' exponents and positions as one flat tuple, then their signed coefficients
-                terms = sorted([(e, ij, c) for e, cs in image[0].items() for ij, c in cs.items()])
-                key = (image[1], tuple([x for e, ij, _ in terms for x in (*e, *ij)]),
-                       min([tuple([c * p[i * n + j - n - 1] for _, (i, j), c in terms]) for p in patterns]))
+            label, image = repr(s), cone_map.image(s)
+            key = image and min(_conjugates(image, n, patterns))
             for w in sample_weight_vectors(len(s), samples, seed):
                 verdict = seen.get((key, w))
                 if verdict is None:

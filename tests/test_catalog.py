@@ -181,6 +181,50 @@ def test_cli_complex_obstructor_5_betti_json(capsys):
     assert data == {"complex": "L(5)", "vertices": 24, "facets": 2295, "betti": [1, 0, 0, 2, 2, 2, 4, 2, 2, 2]}
 
 
+def test_obstructor_counts_match_the_built_complexes():
+    from obstructor import obstructor_subcomplex
+    from obstructor.cli import _obstructor_count
+
+    for n in range(2, 6):
+        x = obstructor_subcomplex(n)
+        assert _obstructor_count(n, 2) == len(x.facets)
+        assert _obstructor_count(n, 3) - 1 == sum(x.f_vector())
+    assert (_obstructor_count(6, 3) - 1, _obstructor_count(6, 2)) == (22_408_959, 75_735)
+
+
+def _builds_recorded(monkeypatch):
+    from obstructor import complexes
+
+    built = []
+    monkeypatch.setattr(complexes, "obstructor_subcomplex",
+                        lambda n: built.append(n) or complexes.arrow_complex(2))
+    return built
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["--obstructor", "6", "--betti"], "22,408,959 simplices"),
+    (["--obstructor", "6", "--f-vector", "--json"], "22,408,959 simplices"),
+    (["--obstructor", "7"], "4,922,775 facets"),
+    (["--obstructor", "8", "--betti"], "635,037,975 facets"),
+    # the counts grow with n, and are not formed past n = 8
+    (["--obstructor", "10000000"], "more than 635,037,975 facets"),
+])
+def test_cli_complex_refuses_more_cells_than_its_limit(argv, count, capsys, monkeypatch):
+    built = _builds_recorded(monkeypatch)
+    assert main(["complex", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f": {count}, over the limit of 1,000,000" in err
+    assert built == []
+
+
+def test_cli_complex_builds_l6_without_homology(capsys, monkeypatch):
+    # 75,735 facets are under the limit; only the closure is not
+    built = _builds_recorded(monkeypatch)
+    assert main(["complex", "--obstructor", "6"]) == 0
+    capsys.readouterr()
+    assert built == [6]
+
+
 def test_cli_dims_row(capsys):
     assert main(["dims", "--group", "sl", "--n", "3", "--ring", "Z", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -40,6 +40,7 @@ from obstructor.conemaps import (
     SuiteReport,
     heisenberg_domain,
     _bounded_pass,
+    _conjugates,
     _divergence_prep,
     _grew,
     _log_stat,
@@ -1165,18 +1166,33 @@ def test_sign_patterns_are_each_conjugation_once(n):
     assert patterns[0] == (1,) * (n * n)
 
 
-@pytest.mark.parametrize("builder", [heisenberg_map, split_map, hookless_superimpose])
-def test_conjugation_ids_name_the_first_simplex_with_each_conjugate_image(builder):
+def _den_only_3(n):
+    return _heisenberg_3_hooked("den-only", _den_only_hook)
+
+
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, _den_only_3, hookless_superimpose])
+def test_conjugates_key_both_suites_on_the_first_simplex_with_each_conjugate_image(builder):
     cm = builder(3)
+    simplices = _simplices_sorted(cm.domain)
     prep = _divergence_prep(cm, 8, 0, (1, 2 ** 20))
-    images = [(len(s), [(m_t, den) for ray in entry[2] for m_t, _, den in ray])
-              for s, entry in zip(_simplices_sorted(cm.domain), prep)]
-    for (size, image), entry in zip(images, prep):
-        for d, c in zip([(1, *d) for d in product((1, -1), repeat=2)], entry[5]):
+    if builder is hookless_superimpose:
+        # no image to key on: each simplex is its own orbit
+        assert [entry[5] for entry in prep] == [[k] for k in range(len(prep))]
+        return
+    # the oracle: m^T and den at both ends of every sampled ray, conjugated by each sign matrix
+    rays = [(len(s), [(m_t, den) for ray in entry[2] for m_t, _, den in ray])
+            for s, entry in zip(simplices, prep)]
+    for (size, image), entry in zip(rays, prep):
+        for d, c in zip([(1, *d) for d in product((1, -1), repeat=2)], entry[5], strict=True):
             conjugate = (size, [(tuple(tuple(v * d[i] * d[j] for j, v in enumerate(row))
                                        for i, row in enumerate(m_t)), den) for m_t, den in image])
-            matches = [k for k, other in enumerate(images) if other == conjugate]
+            matches = [k for k, other in enumerate(rays) if other == conjugate]
             assert c == (matches[0] if matches else math.inf)
+    # properness's key classes are divergence's orbits of simplices
+    patterns = _sign_patterns(cm.size)
+    keys = [(len(s), min(_conjugates(cm.image(s), cm.size, patterns))) for s in simplices]
+    orbits = [min(entry[5]) for entry in prep]
+    assert len(set(keys)) == len(set(orbits)) == len(set(zip(keys, orbits))) < len(simplices)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
