@@ -25,6 +25,7 @@ ACCEPTANCE_TYPES: list[tuple[str, int]] = (
     + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]
     + [("BC", n) for n in range(1, 9)]
 )
+_MAX_LABELINGS = 10 ** 6  # for lemma-key --type; the grid above has at most 255
 
 
 def _emit(payload, as_json: bool, save: str | None, lines=None) -> None:
@@ -88,7 +89,13 @@ def cmd_lemma_key(args) -> int:
     ok = True
     lines = []
     for fam, rank in specs:
-        rs = rootsystems.build_root_system((fam, rank))
+        spec = rootsystems.RootSystemType(fam, rank)  # an unknown family or rank is refused first
+        labelings = 2 ** min(rank, 20) - 1  # one per nonempty node set; A20 is over the limit
+        if labelings > _MAX_LABELINGS:
+            print(f"lemma-key --type {args.type}: {'more than ' * (rank > 20)}{labelings:,} labelings, "
+                  f"over the limit of {_MAX_LABELINGS:,}", file=sys.stderr)
+            return 2
+        rs = rootsystems.build_root_system(spec)
         name = rs.components[0].name
         try:
             rep = ordering.exhaustive_verify(rs, name=name)
@@ -120,28 +127,36 @@ def _obstructor_count(n: int, base: int) -> int:
     return math.prod(base ** (k - 1) + 1 for k in range(2, n + 1))
 
 
+def _arrow_counts(n: int, y: int) -> tuple[int, int]:
+    """(facets, simplices) of C(n) at y = 1 and of its signed double SC(n) at y = 2: a total
+    order's arrows in y signs, and, as each acyclic arrow set extends to one, the nonempty
+    labeled DAGs with arrows in y signs, by Robinson's recurrence."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum((-1) ** (k + 1) * math.comb(m, k) * (1 + y) ** (k * (m - k)) * a[m - k]
+                     for k in range(1, m + 1)))
+    return math.factorial(n) * y ** (n * (n - 1) // 2), a[n] - 1
+
+
 def cmd_complex(args) -> int:
     if not _one_selector(args, "cuspidal", "doubled", "obstructor"):
         return 2
-    if args.cuspidal is not None:
-        x = complexes.arrow_complex(args.cuspidal)
-        name = f"C({args.cuspidal})"
-    elif args.doubled is not None:
-        x = complexes.signed_double(complexes.arrow_complex(args.doubled))
-        name = f"SC({args.doubled})"
-    elif args.obstructor is not None:
-        n = min(args.obstructor, 8)  # the counts grow with n; n = 7 has more facets than the limit
-        for count, cells, asked in ((_obstructor_count(n, 2), "facets", True),
-                                    (_obstructor_count(n, 3) - 1, "simplices", args.betti or args.f_vector)):
-            if asked and count > COMPLEX_MAX_CELLS:
-                print(f"complex --obstructor {args.obstructor}: {'more than ' * (args.obstructor > n)}"
-                      f"{count:,} {cells}, over the limit of {COMPLEX_MAX_CELLS:,}", file=sys.stderr)
-                return 2
-        x = complexes.obstructor_subcomplex(args.obstructor)
-        name = f"L({args.obstructor})"
+    # per selector: the complex's name, its arrows' signs (none on L(N)), an N whose facets are over the limit
+    for selector, label, y, cap in (("cuspidal", "C", 1, 10), ("doubled", "SC", 2, 6), ("obstructor", "L", 0, 8)):
+        if (given := getattr(args, selector)) is not None:
+            break
     else:
         print("need one of --cuspidal/--doubled/--obstructor", file=sys.stderr)
         return 2
+    n = max(0, min(given, cap))  # the counts grow with N and are not formed past the cap
+    counts = _arrow_counts(n, y) if y else (_obstructor_count(n, 2), _obstructor_count(n, 3) - 1)
+    for count, cells, asked in zip(counts, ("facets", "simplices"), (True, args.betti or args.f_vector)):
+        if asked and count > COMPLEX_MAX_CELLS:
+            print(f"complex --{selector} {given}: {'more than ' * (given > n)}{count:,} {cells}, "
+                  f"over the limit of {COMPLEX_MAX_CELLS:,}", file=sys.stderr)
+            return 2
+    x = complexes.arrow_complex(given) if y else complexes.obstructor_subcomplex(given)
+    x, name = complexes.signed_double(x) if y == 2 else x, f"{label}({given})"
     payload: dict = {"complex": name, "vertices": len(x.vertices), "facets": len(x.facets)}
     lines = [f"{name}: {len(x.vertices)} vertices, {len(x.facets)} maximal simplices"]
     if args.f_vector:

@@ -101,24 +101,27 @@ class ConeMap:
     def __call__(self, point: ConePoint) -> ExactMatrix:
         return self._evaluate(point)
 
-    def image(self, simplex) -> tuple[dict, int, bool] | None:
+    def image(self, simplex) -> tuple[list, int, bool] | None:
         """(terms, d, acyclic): the hook's image I + Y(x) over `simplex`, checked; None without a hook.
 
-        terms maps exponent tuples of x_v = t w_v, in the simplex's vertex
-        order, to sparse {(i, j): c} at 1-based positions, and den =
-        WEIGHT_TOTAL^d.  A term of degree 0 or above d, or off the matrix,
-        is refused (ValueError).  An acyclic support proves Y nilpotent on
-        every ray; else each ray's substitution checks Y^n = 0.
+        The hook gives {exponent tuple of x_v = t w_v, in the simplex's vertex order: {(i, j): c}}
+        and d, with den = WEIGHT_TOTAL^d; exponents and c must be ints, of degree 1 to d and on the
+        matrix (else ValueError).  terms lists (vertices with multiplicity, flat position (i-1) n +
+        j-1, c), sorted.  An acyclic support proves Y nilpotent on every ray; else each ray's
+        substitution checks Y^n = 0.
         """
         if self._image is None:
             return None
         terms, d = self._image(simplex)
         n, index = self.size, set(range(1, self.size + 1))
-        if any(len(e) != len(simplex) or not 0 < sum(e) <= d or not index.issuperset(chain.from_iterable(c))
-               for e, c in terms.items()):
+        if type(d) is not int or d < 0 or any(
+                len(e) != len(simplex) or not 0 < sum(e) <= d or {*map(type, (*e, *c.values()))} != {int}
+                or min(e) < 0 or not index.issuperset(chain.from_iterable(c)) for e, c in terms.items()):
             raise ValueError(f"{self.name}: the image over {simplex} is not I + Y(x) with Y {n} x {n} of "
                              f"degree 1 to {d}, so it is not certified to have determinant 1")
-        return terms, d, is_acyclic([ij for coeffs in terms.values() for ij, c in coeffs.items() if c])
+        terms = sorted([(tuple([v for v, a in enumerate(e) for _ in range(a)]), i * n + j - n - 1, c)
+                        for e, cs in terms.items() for (i, j), c in cs.items()])
+        return terms, d, is_acyclic([divmod(ij, n) for _, ij, c in terms if c])
 
     def polynomial(self, simplex, int_weights, image=None) -> tuple[tuple[IntRows, ...], int] | None:
         """(ys, den) with den * image(t) = den I + sum_k ys[k-1] t^k, or None without a hook.
@@ -138,17 +141,12 @@ class ConeMap:
         """Yield polynomial's (ys, den) at each weight vector, each coefficient a flat n*n list."""
         terms, d, acyclic = image
         n, den = self.size, WEIGHT_TOTAL ** d
-        # each term as (degree - 1, its vertices with multiplicity, [(flat index, c total^(d - degree))])
-        compiled = [(sum(e) - 1, [v for v, a in enumerate(e) for _ in range(a)],
-                     [(i * n + j - n - 1, c * WEIGHT_TOTAL ** (d - sum(e))) for (i, j), c in coeffs.items()])
-                    for e, coeffs in terms.items()]
         for w in weight_vectors:
             _check_weights(simplex, w, WEIGHT_TOTAL)
             ys = [[0] * (n * n) for _ in range(d)]
-            for k, vertices, entries in compiled:
-                x, y = math.prod(map(w.__getitem__, vertices)), ys[k]
-                for idx, c in entries:
-                    y[idx] += c * x
+            for vertices, ij, c in terms:  # den c x^e / t^k = c total^(d-k) w^e, at k = len(vertices)
+                k = len(vertices)
+                ys[k - 1][ij] += c * WEIGHT_TOTAL ** (d - k) * math.prod(map(w.__getitem__, vertices))
             while ys and not any(ys[-1]):
                 ys.pop()
             if not acyclic and unipotent_adjugate(n, _rows(ys, n), den) is None:
@@ -582,15 +580,15 @@ def _sign_patterns(n: int) -> list[tuple[int, ...]]:
 def _conjugates(image, n: int, patterns) -> list[tuple]:
     """The key of a checked image conjugated by each sign pattern, in the patterns' order.
 
-    A key is the declared degree, the sorted terms' exponents and flat
-    positions, then their coefficients times the pattern's signs d_i d_j.
+    A key is the declared degree, the laid-out terms' vertices and flat
+    positions (over n x n, as the patterns are), then their coefficients
+    times the pattern's signs d_i d_j.
     When one image's key under the pattern of D = diag(d) is another's
     under the identity, which _sign_patterns puts first, the images are
     conjugate by D and have one den.
     """
     terms, d, _ = image
-    terms = sorted([(e, i * n + j - n - 1, c) for e, cs in terms.items() for (i, j), c in cs.items()])
-    head = d, tuple([x for e, ij, _ in terms for x in (*e, ij)])
+    head = d, tuple([term[:2] for term in terms])
     return [(*head, tuple([c * p[ij] for _, ij, c in terms])) for p in patterns]
 
 

@@ -225,6 +225,63 @@ def test_cli_complex_builds_l6_without_homology(capsys, monkeypatch):
     assert built == [6]
 
 
+def test_arrow_counts_match_the_built_complexes():
+    from obstructor import arrow_complex, signed_double
+    from obstructor.cli import _arrow_counts
+
+    for n in range(2, 5):
+        for y, x in ((1, arrow_complex(n)), (2, signed_double(arrow_complex(n)))):
+            assert _arrow_counts(n, y) == (len(x.facets), sum(x.f_vector()))
+    assert [_arrow_counts(n, 1)[1] for n in (4, 5, 6)] == [542, 29_280, 3_781_502]
+    assert [_arrow_counts(n, 2)[1] for n in (3, 4, 5)] == [108, 9_448, 3_068_280]
+    assert (_arrow_counts(5, 2)[0], _arrow_counts(6, 2)[0]) == (122_880, 23_592_960)
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["--cuspidal", "10"], "3,628,800 facets"),
+    (["--cuspidal", "6", "--betti"], "3,781,502 simplices"),
+    (["--doubled", "6"], "23,592,960 facets"),
+    (["--doubled", "5", "--f-vector", "--json"], "3,068,280 simplices"),
+    # the counts grow with N, and are not formed past the first N over the limit
+    (["--cuspidal", "10000000"], "more than 3,628,800 facets"),
+    (["--doubled", "10000000", "--betti"], "more than 23,592,960 facets"),
+])
+def test_cli_complex_refuses_arrow_complexes_over_its_limit(argv, count, capsys, monkeypatch):
+    from obstructor import complexes
+
+    built = []
+    monkeypatch.setattr(complexes, "arrow_complex", lambda n: built.append(n) or complexes.join_sphere(1))
+    assert main(["complex", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f": {count}, over the limit of 1,000,000" in err
+    assert built == []
+    # under the limit the complex is built
+    assert main(["complex", "--doubled", "5"]) == 0 and built == [5]
+
+
+@pytest.mark.parametrize("text, count", [
+    ("A20", "1,048,575"), ("C30", "more than 1,048,575"), ("BC100000000", "more than 1,048,575"),
+])
+def test_cli_lemma_key_refuses_more_labelings_than_its_limit(text, count, capsys, monkeypatch):
+    from obstructor import rootsystems
+
+    built = []
+    monkeypatch.setattr(rootsystems, "build_root_system", lambda spec: built.append(spec))
+    assert main(["lemma-key", "--type", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"lemma-key --type {text}: {count} labelings, over the limit of 1,000,000\n"
+    assert built == []
+
+
+def test_cli_labeling_count_is_the_checked_count(capsys):
+    # lemma-key --type refuses by 2^rank - 1, one labeling per nonempty node set
+    from obstructor.cli import ACCEPTANCE_TYPES
+
+    assert main(["lemma-key", "--all", "--json"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [(r["rank"], r["labelings"]) for r in reports] == [(n, 2 ** n - 1) for _, n in ACCEPTANCE_TYPES]
+
+
 def test_cli_dims_row(capsys):
     assert main(["dims", "--group", "sl", "--n", "3", "--ring", "Z", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -43,6 +43,7 @@ from obstructor.conemaps import (
     _conjugates,
     _divergence_prep,
     _grew,
+    _linear_terms,
     _log_stat,
     _pair_stat,
     _pair_verdict,
@@ -269,6 +270,14 @@ def _hooked(hook):
     # Y = x (0, 1; 1, 0) + x^2 (1, 0; 0, 0): det 1 at every x, yet Y(x)
     # has trace x^2, so the image is not unipotent
     lambda s: ({(1,): {(1, 2): 1, (2, 1): 1}, (2,): {(1, 1): 1}}, 2),
+    # coefficients that are not ints would give statistics that are not ints
+    lambda s: ({(1,): {(1, 2): 0.5}}, 1),
+    lambda s: ({(1,): {(1, 2): Fraction(1, 3)}}, 1),
+    lambda s: ({(1,): {(1, 2): True}}, 1),
+    # an exponent, or a declared degree, that is not a nonnegative int
+    lambda s: ({(True,): {(1, 2): 1}}, 1),
+    lambda s: ({(1,): {(1, 2): 1}}, 1.0),
+    lambda s: ({}, -1),
 ])
 def test_hooks_outside_the_contract_are_refused(hook):
     # ConeMap enforces the contract for every reader; the determinant
@@ -279,6 +288,31 @@ def test_hooks_outside_the_contract_are_refused(hook):
         divergence_suite(_hooked(hook), samples=1)
     with pytest.raises(ValueError, match="determinant 1"):
         divergence_test(_hooked(hook), (((1, 2), 1),), (((1, 2), -1),), samples=1)
+
+
+def test_a_negative_exponent_is_refused():
+    # x_0^2 x_1^-1 has degree 1, yet it is no monomial of degree 1; taken as
+    # x_0^2 it gave 900 t at w = (30, 30)
+    hook = lambda s: ({(2, -1): {(1, 2): 1}} if len(s) == 2 else _linear_terms(s), 1)  # noqa: E731
+    cm = ConeMap("hooked", heisenberg_domain(3), 3, lambda p: ExactMatrix.identity(3), hook)
+    with pytest.raises(ValueError, match="determinant 1"):
+        cm.image((((1, 2), 1), ((1, 3), 1)))
+    with pytest.raises(ValueError, match="determinant 1"):
+        properness_test(cm, radii=(1, 2 ** 20), samples=1)
+    with pytest.raises(ValueError, match="determinant 1"):
+        divergence_suite(cm, samples=1)
+
+
+@pytest.mark.parametrize("builder", [heisenberg_map, split_map, superimpose_map])
+def test_image_lays_out_the_hooks_terms_once(builder):
+    # (vertices with multiplicity, flat position, c), sorted, from the hook's
+    # {exponents: {(i, j): c}}: the one layout that every reader takes
+    cm = builder(3)
+    for s in _simplices_sorted(cm.domain):
+        terms, d = cm._image(s)
+        expected = sorted((tuple(chain.from_iterable([v] * a for v, a in enumerate(e))), (i - 1) * 3 + j - 1, c)
+                          for e, cs in terms.items() for (i, j), c in cs.items())
+        assert cm.image(s)[:2] == (expected, d)
 
 
 def test_a_unipotent_hook_is_accepted():
